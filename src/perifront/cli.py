@@ -44,7 +44,7 @@ DEFAULTS = {
     "model": "constant2",
     "L": 1.0,
     "n": 64,
-    "window_cells": 60,
+    "window_cells": 120,
     "dt": 0.01,
     "snapshot_dt": 0.25,
     "T": 30.0,
@@ -55,6 +55,11 @@ DEFAULTS = {
     "level": 0.5,
     "out": "perifront-out",
 }
+
+# Profile binning needs many snapshots per cell passage: at the default
+# snapshot_dt the front travels 0.625 cells between snapshots, which
+# leaves most s-bins of every cell row empty.
+FRONT_DEFAULTS = {"snapshot_dt": 0.03}
 
 COMPETITION_NAMES = ("competition-const", "competition-strong",
                      "competition-periodic")
@@ -71,8 +76,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(", ".join(_fmt(v) for v in row) + "\n")
 
 
-def _resolve_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+def _resolve_config(args, defaults=DEFAULTS) -> dict:
+    cfg = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg.update(json.load(fh))
@@ -170,7 +175,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_front(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, {**DEFAULTS, **FRONT_DEFAULTS})
     outdir = Path(cfg["out"])
     model, _ = _build_model(cfg)
     disp = Dispersion(model)
@@ -178,7 +183,9 @@ def cmd_front(args) -> int:
     stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
     state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
                                      cfg["eps0"], disp=disp)
-    traj = run(model, state, window, stepcfg, cfg["T"])
+    # only t >= 0.3 T enters the speed fit and the profile
+    traj = run(model, state, window, stepcfg, cfg["T"],
+               store_from=0.3 * cfg["T"])
     c_est, _ = measure_speed(traj, 0, cfg["level"], (0.3 * cfg["T"], cfg["T"]))
     prof = extract_profile(traj, c_est, t_window=(0.5 * cfg["T"], cfg["T"]),
                            min_count=3)

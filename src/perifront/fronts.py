@@ -348,21 +348,39 @@ class ShiftResult:
     z_pred: float | None = None
 
 
+def _check_same_lattice(h_a: float, h_b: float) -> None:
+    if abs(h_a - h_b) > 1e-9 * h_b:
+        raise FrontError(
+            f"s-spacings differ ({h_a:.17g} vs {h_b:.17g}): shifts need "
+            "both sides on one lattice")
+
+
 def _sup_dist_shifted(U: FrontProfile, V: FrontProfile, z: float) -> float:
     """sup |U(x, s + z) - V(x, s)| over V's s-range intersected with the
-    shifted range of U."""
+    shifted range of U.
+
+    V.s and U.s share the spacing h, so every column of V lands at the
+    same fractional bin position in U: one integer offset and one
+    interpolation weight serve all rows and components (one stencil)."""
     s = V.s
-    inside = (s + z >= U.s[0]) & (s + z <= U.s[-1])
-    if inside.sum() < 4:
+    inside = np.nonzero((s + z >= U.s[0]) & (s + z <= U.s[-1]))[0]
+    if len(inside) < 4:
         return np.inf
-    ssub = s[inside]
-    worst = 0.0
-    n = V.cell.n
-    for r in range(n):
-        xi = np.full(len(ssub), r)
-        diff = U.eval(xi, ssub + z, clamp=True) - V.U[:, r, :][:, inside]
-        worst = max(worst, float(np.nanmax(np.abs(diff))))
-    return worst
+    ja, cnt = int(inside[0]), len(inside)
+    pos = (s[ja] + z - U.s[0]) / U.h_s
+    k = math.floor(pos)
+    frac = pos - k
+    # roundoff may put the first column a hair below U.s[0], or the last
+    # a hair above U.s[-1]; those columns sit on the end nodes
+    if k < 0:
+        k, frac = 0, 0.0
+    if frac > 0.0 and k + cnt >= len(U.s):
+        frac = 0.0
+    diff = U.U[:, :, k:k + cnt] * (1.0 - frac)
+    if frac > 0.0:
+        diff += U.U[:, :, k + 1:k + cnt + 1] * frac
+    diff -= V.U[:, :, ja:ja + cnt]
+    return float(np.nanmax(np.abs(diff, out=diff)))
 
 
 def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
@@ -372,6 +390,7 @@ def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
     prediction z_pred = log(rho_V/rho_U)/lam_c when the fits are supplied."""
     if abs(U.c - V.c) > 1e-9:
         raise FrontError("profiles extracted at different speeds")
+    _check_same_lattice(U.h_s, V.h_s)
     zs = np.arange(-bracket, bracket + 1e-9, 4.0 * U.h_s)
     vals = [_sup_dist_shifted(U, V, z) for z in zs]
     zbest = zs[int(np.argmin(vals))]
@@ -382,6 +401,26 @@ def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
     if lam_c is not None and rho_U is not None and rho_V is not None:
         z_pred = math.log(rho_V / rho_U) / lam_c
     return ShiftResult(float(z0), float(dist), z_pred)
+
+
+def _diagonal_tables(profile: FrontProfile):
+    """Profile values laid out for window scans: entry [:, k + 1, r] of
+    each table belongs to cell row r at bin kc = k - r, so the window nodes
+    q n + r of one cell read one contiguous row k = K - q n.
+
+    With pos = kc + frac the interpolant is lo (1 - frac) + hi frac for
+    frac > 0 and at for frac = 0, each clamped like FrontProfile.eval: 0
+    for pos < 0 and 1 for pos > ns - 1."""
+    m, n, ns = profile.U.shape
+    lo, hi, at = np.zeros((3, m, ns + n + 1, n))
+    for r in range(n):
+        a = r + 1                              # table index of kc = 0
+        lo[:, a:a + ns - 1, r] = profile.U[:, r, :-1]
+        hi[:, a:a + ns - 1, r] = profile.U[:, r, 1:]
+        at[:, a:a + ns, r] = profile.U[:, r, :]
+        lo[:, a + ns - 1:, r] = hi[:, a + ns - 1:, r] = 1.0
+        at[:, a + ns:, r] = 1.0
+    return lo, hi, at
 
 
 def convergence_metric(traj, profile: FrontProfile, margin_cells: int = 5,
@@ -395,34 +434,57 @@ def convergence_metric(traj, profile: FrontProfile, margin_cells: int = 5,
     window = traj.window
     n = window.cell.n
     margin = margin_cells * n
-    xw = window.x[margin:-margin]
-    xidx = window.xidx[margin:-margin]
     c = profile.c
+    h = profile.h_s
+    _check_same_lattice(h, window.h)
+    # window and profile share the h-lattice: node j = q n + r of the
+    # scanned range sits at bin position A - j of row r, with A = (c t +
+    # shift - x_0 - s_0)/h, so one weight per (snapshot, shift) serves
+    # every node, and cell q reads table row floor(A) - q n
+    nw = window.npts - 2 * margin
+    q_n = np.arange(0, nw + n - 1, n)
+    lo, hi, at = _diagonal_tables(profile)
+    top = lo.shape[1] - 1
+    x0 = float(window.x[margin])
 
-    times, shifts, dists = [], [], []
+    def dists(usub, t, zs):
+        """sup distance for every shift in zs (one batched evaluation)."""
+        A = (c * t - x0 + zs - profile.s[0]) / h
+        K = np.floor(A)
+        frac = (A - K)[:, None, None]
+        rows = np.clip(K.astype(int)[:, None] + 1 - q_n, 0, top)
+        # np.take keeps the (m, shifts, cells, n) result C-ordered
+        pred = np.take(lo, rows, axis=1)
+        pred *= 1.0 - frac
+        pred += np.take(hi, rows, axis=1) * frac
+        on_node = frac[:, 0, 0] == 0.0
+        pred[:, on_node] = np.take(at, rows[on_node], axis=1)
+        pred = pred.reshape(len(usub), len(zs), -1)[:, :, :nw]
+        pred -= usub[:, None, :]
+        return np.abs(pred, out=pred).max(axis=(0, 2))
+
+    times, shifts, dist_out = [], [], []
     shift_prev = 0.0
     for t, u in zip(traj.times, traj.snapshots):
         usub = u[:, margin:-margin]
-
-        def dist_of(shift):
-            pred = profile.eval(xidx, c * t - xw + shift, clamp=True)
-            return float(np.max(np.abs(usub - pred)))
-
         zs = shift_prev + np.linspace(-shift_bracket, shift_bracket, 25)
-        vals = [dist_of(z) for z in zs]
-        zbest = zs[int(np.argmin(vals))]
-        z0, d0 = golden_section_min(dist_of, zbest - 0.5, zbest + 0.5,
-                                    tol=1e-6)
+        zbest = zs[int(np.argmin(dists(usub, t, zs)))]
+        z0, d0 = golden_section_min(
+            lambda z: float(dists(usub, t, np.array([z]))[0]),
+            zbest - 0.5, zbest + 0.5, tol=1e-6)
         times.append(t)
         shifts.append(float(z0))
-        dists.append(float(d0))
+        dist_out.append(float(d0))
         shift_prev = float(z0)
-    return np.asarray(times), np.asarray(shifts), np.asarray(dists)
+    return np.asarray(times), np.asarray(shifts), np.asarray(dist_out)
 
 
 def log_derivative_diagnostics(profile: FrontProfile, level: float = 1e-2):
     """Min and max of the logarithmic s-derivative over the left tail
-    (positivity of both bounds is the front-steepness estimate)."""
+    (positivity of both bounds is the front-steepness estimate).
+
+    Columns holding a bin with U_i <= 0 have no logarithmic derivative and
+    are left out."""
     U = profile.U
     s = profile.s
     h = profile.h_s
@@ -431,6 +493,7 @@ def log_derivative_diagnostics(profile: FrontProfile, level: float = 1e-2):
         mask = np.nanmax(U[i], axis=0) <= level
         cols = np.nonzero(mask)[0]
         cols = cols[(cols > 0) & (cols < len(s) - 1)]
+        cols = cols[~(U[i][:, cols] <= 0.0).any(axis=0)]
         if len(cols) < 4:
             raise FrontError("left tail not resolved below the level")
         num = U[i][:, cols + 1] - U[i][:, cols - 1]

@@ -14,6 +14,7 @@ guard band 10 cells from the downwind edge.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FrontError, PerifrontError
 from .grid import CellGrid, OperatorSpec, PeriodicField, assemble_tilted_operator
+from .models import PolyH
 
 __all__ = [
     "WindowGrid",
@@ -167,6 +169,16 @@ class Stepper:
         self.cfg = cfg
         self.xidx = window.xidx
         self._factors = [self._factor(i) for i in range(model.m)]
+        # the reaction coefficients gathered onto the window once, so that
+        # each step evaluates F(u, slice(None)) without re-gathering them
+        idx = self.xidx
+        self._reaction = dataclasses.replace(
+            model,
+            h=[PolyH(h.c[idx], h.b[:, idx],
+                     None if h.Q is None else h.Q[:, :, idx])
+               for h in model.h],
+            couplings={ij: np.asarray(a)[idx]
+                       for ij, a in model.couplings.items()})
 
     def _factor(self, i: int):
         model, window, dt = self.model, self.window, self.cfg.dt
@@ -189,7 +201,7 @@ class Stepper:
     def step(self, state: SimState) -> SimState:
         cfg = self.cfg
         u = state.u
-        Fu = self.model.F(u, self.xidx)
+        Fu = self._reaction.F(u, slice(None))
         new = np.empty_like(u)
         for i in range(self.model.m):
             rhs = u[i] + cfg.dt * Fu[i]

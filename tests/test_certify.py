@@ -215,20 +215,21 @@ class TestVarrho:
         assert all(b >= a - 1e-12 for a, b in zip(r1, r2))
 
 
-class TestSandwich:
-    @pytest.fixture(scope="class")
-    def profile(self, model, disp):
-        # long enough that the slow back-fill of component 2 has settled
-        # over the extraction window; shorter runs leave a non-monotone
-        # patch that genuinely breaks the sandwich inequality
-        win = WindowGrid(model.cell, 130)
-        cfg = StepperConfig(dt=0.01, snapshot_dt=0.03)
-        st = perifront.build_initial_front_like(model, win, 2.5, disp=disp)
-        traj = run(model, st, win, cfg, 40.0, store_from=20.0)
-        c_est, _ = perifront.measure_speed(traj, 0, 0.5, (20.0, 40.0))
-        return perifront.extract_profile(traj, c_est,
-                                         t_window=(20.0, 40.0))
+@pytest.fixture(scope="module")
+def profile(model, disp):
+    # long enough that the slow back-fill of component 2 has settled
+    # over the extraction window; shorter runs leave a non-monotone
+    # patch that genuinely breaks the sandwich inequality
+    win = WindowGrid(model.cell, 130)
+    cfg = StepperConfig(dt=0.01, snapshot_dt=0.03)
+    st = perifront.build_initial_front_like(model, win, 2.5, disp=disp)
+    traj = run(model, st, win, cfg, 40.0, store_from=20.0)
+    c_est, _ = perifront.measure_speed(traj, 0, 0.5, (20.0, 40.0))
+    return perifront.extract_profile(traj, c_est,
+                                     t_window=(20.0, 40.0))
 
+
+class TestSandwich:
     def test_both_signs_pass(self, model, disp, profile):
         psi = principal_eig_coupled(model, at="one")
         for sign in ("lower", "upper"):

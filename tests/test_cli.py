@@ -127,3 +127,12 @@ class TestSimulateAndFront:
         assert rc == 0
         res = read_json(out / "results.json")
         assert abs(res["fits"][0]["lambda_est"] - 0.5) <= 0.05 * 0.5
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["simulate", "front"])
+    def test_exit_zero_at_defaults(self, tmp_path, command):
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == 0
+        cfg = read_json(out / "resolved-config.json")
+        assert cfg["window_cells"] == 120

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,21 @@ class TestLogDerivative:
         # log-derivative of |s| e^s is 1 + 1/s < 1 for s < 0
         assert lo < 1.0 <= hi + 0.05
         assert lo > 0.8
+
+    def test_zero_bins_are_masked_without_warning(self):
+        # |s| e^s vanishes at the s = 0 bin, inside the level set
+        prof = synthetic_profile(lambda s: np.abs(s) * np.exp(s), s_lo=-40.0)
+        assert (prof.U[0] == 0.0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (lo, hi), = log_derivative_diagnostics(prof, level=1e-2)
+        assert np.isfinite(lo) and np.isfinite(hi)
+        assert hi < 1.0
+
+    def test_too_few_positive_columns_raise(self):
+        prof = synthetic_profile(lambda s: np.where(s < 0.0, 0.0, 1.0))
+        with pytest.raises(FrontError, match="left tail"):
+            log_derivative_diagnostics(prof, level=1e-2)
 
 
 class TestComponentRatio:
