@@ -23,7 +23,8 @@ from .dispersion import Dispersion
 from .models import (check_competition_assumptions, check_hypotheses,
                      competition_to_cooperative, make_competition_spec,
                      make_model)
-from .sim import (StepperConfig, WindowGrid, build_initial_front_like, run)
+from .sim import (StepperConfig, WindowGrid, _write_rows,
+                  build_initial_front_like, run)
 from .fronts import (extract_profile, fit_decay, front_position,
                      measure_speed)
 from .certify import (build_sub_supercritical, build_super_linearized,
@@ -65,15 +66,12 @@ COMPETITION_NAMES = ("competition-const", "competition-strong",
                      "competition-periodic")
 
 
-def _fmt(v) -> str:
-    return f"{v:.17g}"
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
+    """rows: a 2-D array, or a sequence of equal-length numeric rows."""
     with open(path, "w") as fh:
         fh.write("# " + header + "\n")
-        for row in rows:
-            fh.write(", ".join(_fmt(v) for v in row) + "\n")
+        if len(rows):
+            _write_rows(fh, rows)
 
 
 def _resolve_config(args, defaults=DEFAULTS) -> dict:
@@ -124,11 +122,11 @@ def cmd_dispersion(args) -> int:
     tab = disp.table(lams)
     outdir.mkdir(parents=True, exist_ok=True)
     cols = ", ".join(f"kappa_{i + 1}" for i in range(model.m))
-    rows = [(l, *tab["kappa"][:, j],
-             tab["kappa"][0, j] / l if l > 0 else float("inf"))
-            for j, l in enumerate(lams)]
+    ratio = np.divide(tab["kappa"][0], lams, out=np.full_like(lams, np.inf),
+                      where=lams > 0)
     _write_csv(outdir / "dispersion.csv",
-               f"lambda, {cols}, kappa1_over_lambda", rows)
+               f"lambda, {cols}, kappa1_over_lambda",
+               np.column_stack([lams, tab["kappa"].T, ratio]))
     h6_gap = disp.spectral_gap(lam0)
     results = {
         "c_plus0": c0,
@@ -194,12 +192,12 @@ def cmd_front(args) -> int:
     lam = disp.lambda_c(cfg["c"])
     fits = fit_decay(prof, disp.cascade(lam), lam, tau)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for r in range(model.cell.n):
-        for kk, s in enumerate(prof.s):
-            rows.append((model.cell.x[r], s, *prof.U[:, r, kk]))
+    n, ns = model.cell.n, len(prof.s)
     cols = ", ".join(f"U_{i + 1}" for i in range(model.m))
-    _write_csv(outdir / "profile.csv", f"x, s, {cols}", rows)
+    _write_csv(outdir / "profile.csv", f"x, s, {cols}",
+               np.column_stack([np.repeat(model.cell.x, ns),
+                                np.tile(prof.s, n),
+                                prof.U.transpose(1, 2, 0).reshape(n * ns, -1)]))
     _write_csv(outdir / "fits.csv",
                "component, lambda_est, rho_est, tau, goodness",
                [(f.component + 1, f.lambda_est, f.rho_est, f.tau_mode,

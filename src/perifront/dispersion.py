@@ -130,7 +130,6 @@ class Dispersion:
         self.model = model
         self.e = int(e)
         self.tol = tol
-        self._kappa_memo = {}
         self._pair_memo = {}
         self._cascade_memo = {}
         self._crit = None
@@ -155,10 +154,7 @@ class Dispersion:
     def kappa(self, i: int, lam: float) -> float:
         """kappa_i(lam): principal eigenvalue of the tilted component-i
         operator."""
-        key = (i, round(lam, 12))
-        if key not in self._kappa_memo:
-            self._kappa_memo[key] = self._pair(i, lam).value
-        return self._kappa_memo[key]
+        return self._pair(i, lam).value
 
     def critical_speed(self):
         """(c_plus0, lambda_plus0): minimal value and minimizer of

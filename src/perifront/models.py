@@ -53,10 +53,14 @@ class PolyH:
     c: np.ndarray
     b: np.ndarray
     Q: np.ndarray | None = None
+    # rows k with a nonzero b[k] at some node, ascending
+    _rows: tuple = field(init=False, repr=False, compare=False)
     # (k, l) pairs with a nonzero Q[k, l] at some node, row-major
     _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rows = np.nonzero((self.b != 0.0).any(axis=1))[0]
+        object.__setattr__(self, "_rows", tuple(int(k) for k in rows))
         nz = [] if self.Q is None else np.argwhere((self.Q != 0.0).any(axis=2))
         object.__setattr__(self, "_pairs",
                            tuple((int(k), int(l)) for k, l in nz))
@@ -64,10 +68,18 @@ class PolyH:
     def __call__(self, u: np.ndarray, xidx) -> np.ndarray:
         """u: (m, npts), xidx: (npts,) cell-node indices -> (npts,); pass
         slice(None) when the coefficients are already gathered onto u's
-        nodes.  The quadratic part sums u_k Q_kl u_l over the nonzero
-        pairs only, in the dense einsum's order, so the result is the
-        same."""
-        out = self.c[xidx] + np.einsum("kp,kp->p", self.b[:, xidx], u)
+        nodes.  The linear and quadratic parts sum over the nonzero rows
+        of b and the nonzero pairs of Q only, each in the dense einsum's
+        order (the linear sum is formed before c is added), so the result
+        is the same."""
+        if self._rows:
+            k, *rest = self._rows
+            lin = self.b[k, xidx] * u[k]
+            for k in rest:
+                lin += self.b[k, xidx] * u[k]
+            out = self.c[xidx] + lin
+        else:
+            out = self.c[xidx].copy()
         if self._pairs:
             (k, l), *rest = self._pairs
             quad = u[k] * self.Q[k, l, xidx] * u[l]
@@ -88,15 +100,22 @@ class PolyH:
 
         The derivative is affine in u, so lattice corners realize the max;
         interior samples are kept for symmetry with the generic checks.
+        dh/du_k = b[k] + sum_l (Q[k, l] + Q[l, k]) u_l reads only the
+        components l of a nonzero Q pair with k, so the lattice for k spans
+        those alone (the others contribute exact zeros): the same maximum
+        as the full samples**m lattice.
         """
-        m = self.b.shape[0]
+        m, n = self.b.shape
         pts = np.linspace(box_lo, box_hi, samples)
         best = 0.0
-        for corner in itertools.product(pts, repeat=m):
-            u = np.repeat(np.asarray(corner)[:, None], len(self.c), axis=1)
-            for k in range(m):
-                best = max(best, float(np.max(np.abs(
-                    self.du(k, u, np.arange(len(self.c)))))))
+        for k in range(m):
+            deps = sorted({l for j, l in self._pairs if j == k}
+                          | {j for j, l in self._pairs if l == k})
+            corners = np.array(list(itertools.product(pts, repeat=len(deps))))
+            u = np.zeros((m, len(corners) * n))
+            u[deps] = np.repeat(corners.T, n, axis=1)
+            xidx = np.tile(np.arange(n), len(corners))
+            best = max(best, float(np.max(np.abs(self.du(k, u, xidx)))))
         return best
 
 

@@ -1,11 +1,12 @@
 """Cauchy-problem integrator on a long window with cell-aligned spacing.
 
 Time stepping is IMEX: transport-diffusion implicit (one banded solve per
-component and step, factored once), reaction explicit.  Under the explicit
-step bound dt <= 0.5/max|dF_i/du_i| the update map is monotone, so the
-scheme inherits the comparison principle and the invariance of the box
-[0, 1] up to roundoff; both are exercised by the test suite rather than
-assumed.
+distinct transport operator and step, factored once and shared, as one
+multi-right-hand-side solve, by the components with equal d_i and q_i),
+reaction explicit.  Under the explicit step bound dt <= 0.5/max|dF_i/du_i|
+the update map is monotone, so the scheme inherits the comparison
+principle and the invariance of the box [0, 1] up to roundoff; both are
+exercised by the test suite rather than assumed.
 
 Window edges are Dirichlet-clamped to the limiting states (1 on the
 upwind side, 0 downwind); runs abort when the tracked front reaches the
@@ -33,7 +34,6 @@ __all__ = [
     "Trajectory",
     "Stepper",
     "build_initial_front_like",
-    "step",
     "run",
     "write_binary",
     "read_binary",
@@ -41,6 +41,24 @@ __all__ = [
 
 TOL_BOX = 1e-8
 MAGIC = b"PFRT1"
+CSV_BLOCK_ROWS = 2048
+
+
+def _write_rows(fh, values, prefix="", labels=None) -> None:
+    """Write row j of the 2-D array values as prefix, then labels[j] when
+    labels are given, then its '%.17g' fields joined by ', ' (the bytes of
+    an f"{v:.17g}" per value).  One %-format call per block of
+    CSV_BLOCK_ROWS rows keeps the formatted text bounded."""
+    values = np.asarray(values, dtype=float)
+    fields = ", ".join(["%.17g"] * values.shape[1]) + "\n"
+    for j in range(0, len(values), CSV_BLOCK_ROWS):
+        block = values[j:j + CSV_BLOCK_ROWS]
+        if labels is None:
+            template = (prefix + fields) * len(block)
+        else:
+            template = "".join([prefix + label + fields
+                                for label in labels[j:j + CSV_BLOCK_ROWS]])
+        fh.write(template % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -124,14 +142,13 @@ class Trajectory:
         return self.snapshots[0].shape[0]
 
     def save_csv(self, path) -> None:
-        m = self.m
-        cols = ", ".join(f"u_{i + 1}" for i in range(m))
+        cols = ", ".join(f"u_{i + 1}" for i in range(self.m))
+        # x is formatted once per call, t once per snapshot
+        xs = ["%.17g, " % x for x in self.window.x.tolist()]
         with open(path, "w") as fh:
             fh.write(f"# t, x, {cols}\n")
             for t, u in zip(self.times, self.snapshots):
-                for j, xj in enumerate(self.window.x):
-                    vals = ", ".join(f"{u[i, j]:.17g}" for i in range(m))
-                    fh.write(f"{t:.17g}, {xj:.17g}, {vals}\n")
+                _write_rows(fh, u.T, "%.17g, " % t, xs)
 
 
 def write_binary(traj: Trajectory, path) -> None:
@@ -160,7 +177,8 @@ def read_binary(path):
 
 
 class Stepper:
-    """IMEX stepper with per-component factored implicit solves."""
+    """IMEX stepper with one factored implicit solve per distinct transport
+    operator (d_i, q_i), shared by every component that has it."""
 
     def __init__(self, model, window: WindowGrid, cfg: StepperConfig):
         cfg.validate_against(model)
@@ -168,7 +186,17 @@ class Stepper:
         self.window = window
         self.cfg = cfg
         self.xidx = window.xidx
-        self._factors = [self._factor(i) for i in range(model.m)]
+        groups = {}
+        for i in range(model.m):
+            key = (model.d[i].tobytes(), model.q[i].tobytes())
+            groups.setdefault(key, []).append(i)
+        # (components, factorization); a run of consecutive components is
+        # indexed by a slice, so its right-hand sides are not copied
+        self._solves = []
+        for comps in groups.values():
+            lo, hi = comps[0], comps[-1] + 1
+            index = slice(lo, hi) if comps == list(range(lo, hi)) else comps
+            self._solves.append((index, self._factor(lo)))
         # the reaction coefficients gathered onto the window once, so that
         # each step evaluates F(u, slice(None)) without re-gathering them
         idx = self.xidx
@@ -201,13 +229,12 @@ class Stepper:
     def step(self, state: SimState) -> SimState:
         cfg = self.cfg
         u = state.u
-        Fu = self._reaction.F(u, slice(None))
+        rhs = u + cfg.dt * self._reaction.F(u, slice(None))
+        rhs[:, 0] = cfg.left_value
+        rhs[:, -1] = cfg.right_value
         new = np.empty_like(u)
-        for i in range(self.model.m):
-            rhs = u[i] + cfg.dt * Fu[i]
-            rhs[0] = cfg.left_value
-            rhs[-1] = cfg.right_value
-            new[i] = self._factors[i].solve(rhs)
+        for comps, lu in self._solves:
+            new[comps] = lu.solve(rhs[comps].T).T
         lo, hi = float(new.min()), float(new.max())
         if lo < -cfg.box_tol or hi > 1.0 + cfg.box_tol:
             raise PerifrontError(
@@ -257,13 +284,6 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
         warnings.warn("window may be too short: initial envelope has not "
                       "decayed below 1e-12 at the right edge")
     return SimState(0.0, u0)
-
-
-def step(model, state: SimState, window: WindowGrid,
-         cfg: StepperConfig) -> SimState:
-    """Single IMEX step (one-shot; factors are rebuilt, use Stepper/run for
-    long integrations)."""
-    return Stepper(model, window, cfg).step(state)
 
 
 def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,

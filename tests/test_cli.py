@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from perifront import WindowGrid, make_cell_grid
 from perifront.cli import main
 
 
@@ -118,6 +120,24 @@ class TestSimulateAndFront:
         assert abs(res["c_est"] - 2.5) <= 0.02 * 2.5
         header = open(out / "fronts.csv").readline()
         assert header.startswith("# t, position, c_running")
+
+    def test_snapshots_round_trip(self, tmp_path):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--model", "chain-m", "--c", "2.5",
+                   "--T", "12", "--window-cells", "70",
+                   "--snapshot-dt", "0.4", "--out", str(out)])
+        assert rc == 0
+        header = open(out / "snapshots.csv").readline()
+        assert header == "# t, x, u_1, u_2, u_3\n"
+        data = np.loadtxt(out / "snapshots.csv", delimiter=",")
+        window = WindowGrid(make_cell_grid(1.0, 64), 70)
+        nsnap = 31
+        assert data.shape == (nsnap * window.npts, 5)
+        assert np.array_equal(data[:, 1], np.tile(window.x, nsnap))
+        # t is accumulated step by step, x is exact
+        assert np.allclose(data[::window.npts, 0], 0.4 * np.arange(nsnap),
+                           rtol=0.0, atol=1e-9)
+        assert data[:, 2:].min() >= -1e-8 and data[:, 2:].max() <= 1.0 + 1e-8
 
     def test_front_fit(self, tmp_path):
         out = tmp_path / "front"

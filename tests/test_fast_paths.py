@@ -1,24 +1,36 @@
 """The fast paths against the loop versions they replaced.
 
-The reaction on window-gathered coefficients with the sparse quadratic
-term keeps the arithmetic of the gather-per-call dense einsum, so F must
-be bit-for-bit equal.  The one-stencil profile shifts take one
+The reaction on window-gathered coefficients with the sparse linear and
+quadratic terms keeps the arithmetic of the gather-per-call dense einsum,
+so F must be bit-for-bit equal.  The grouped multi-right-hand-side solves
+run the per-component solves' arithmetic, so a step must be bit-for-bit
+equal too, and the block-formatted CSV writers must write the same bytes
+as the per-value f-strings.  The one-stencil profile shifts take one
 interpolation weight per shift where the loops recomputed it per column,
 so shift_distance and convergence_metric may differ by roundoff only.
 """
 
+import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+import perifront.dispersion as dispersion
 import perifront.fronts as fronts
-from perifront import (SimState, Stepper, StepperConfig, Trajectory,
-                       WindowGrid, convergence_metric, extract_profile,
-                       make_cell_grid, make_model, shift_distance)
+import perifront.sim as sim
+from perifront import (Dispersion, SimState, Stepper, StepperConfig,
+                       Trajectory, WindowGrid, convergence_metric,
+                       extract_profile, make_cell_grid, make_model,
+                       shift_distance)
+from perifront.certify import _gamma0
+from perifront.cli import _write_csv
 from perifront.dispersion import golden_section_min
-from perifront.models import PolyH, ReactionModel
+from perifront.models import (PolyH, ReactionModel,
+                              competition_to_cooperative,
+                              make_competition_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +38,7 @@ from perifront.models import PolyH, ReactionModel
 
 
 def ref_polyh(h, u, xidx):
-    """PolyH evaluation gathering c, b and Q on every call, dense einsum."""
+    """PolyH evaluation gathering c, b and Q on every call, dense einsums."""
     out = h.c[xidx] + np.einsum("kp,kp->p", h.b[:, xidx], u)
     if h.Q is not None:
         out += np.einsum("kp,klp,lp->p", u, h.Q[:, :, xidx], u)
@@ -42,6 +54,51 @@ def ref_F(model, u, xidx):
             if a is not None:
                 out[i] += a[xidx] * u[j]
     return out
+
+
+def ref_max_abs_du(h, box_lo, box_hi, samples=3):
+    """max |dh/du_k| over the full samples**m lattice."""
+    m, n = h.b.shape
+    pts = np.linspace(box_lo, box_hi, samples)
+    best = 0.0
+    for corner in itertools.product(pts, repeat=m):
+        u = np.repeat(np.asarray(corner)[:, None], n, axis=1)
+        for k in range(m):
+            best = max(best, float(np.max(np.abs(h.du(k, u, np.arange(n))))))
+    return best
+
+
+def ref_step(stepper, state):
+    """One splu factorisation and one solve per component."""
+    cfg = stepper.cfg
+    u = state.u
+    Fu = stepper._reaction.F(u, slice(None))
+    new = np.empty_like(u)
+    for i in range(stepper.model.m):
+        rhs = u[i] + cfg.dt * Fu[i]
+        rhs[0] = cfg.left_value
+        rhs[-1] = cfg.right_value
+        new[i] = stepper._factor(i).solve(rhs)
+    return new
+
+
+def ref_save_csv(traj, path):
+    """One f-string per value."""
+    m = traj.m
+    cols = ", ".join(f"u_{i + 1}" for i in range(m))
+    with open(path, "w") as fh:
+        fh.write(f"# t, x, {cols}\n")
+        for t, u in zip(traj.times, traj.snapshots):
+            for j, xj in enumerate(traj.window.x):
+                vals = ", ".join(f"{u[i, j]:.17g}" for i in range(m))
+                fh.write(f"{t:.17g}, {xj:.17g}, {vals}\n")
+
+
+def ref_write_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write("# " + header + "\n")
+        for row in rows:
+            fh.write(", ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def ref_reaction_lipschitz(model, samples=5):
@@ -164,6 +221,205 @@ def test_reaction_lipschitz_chain_m8_within_budget():
     lip = model.reaction_lipschitz()
     assert time.perf_counter() - t0 < 1.0
     assert lip == pytest.approx(1.4, rel=1e-12)   # |1 - 2 (1 - a)| at u = 1
+
+
+def rates(models):
+    return [pytest.param(h, id=f"{model.name}-m{model.m}-h{i + 1}")
+            for model in models for i, h in enumerate(model.h)]
+
+
+def builtin_models(cell):
+    """The models above, the competition models in cooperative form and
+    chain-m at m = 6."""
+    return all_models() + [
+        dataclasses.replace(competition_to_cooperative(
+            make_competition_spec(name, cell)).model, name=name)
+        for name in ("competition-const", "competition-strong",
+                     "competition-periodic")] \
+        + [make_model("chain-m", cell, m=6)]
+
+
+def polyh_cases():
+    """Every rate of the built-in models, plus the edge cases of the
+    sparse linear term."""
+    rng = np.random.default_rng(11)
+    m, n = 4, 32
+    Q = np.zeros((m, m, n))
+    Q[1, 3] = rng.standard_normal(n)
+    Q[2, 2] = rng.standard_normal(n)
+    return rates(builtin_models(make_cell_grid(1.0, n))) + [
+        pytest.param(PolyH(c=rng.standard_normal(n),
+                           b=rng.standard_normal((m, n))), id="dense-b"),
+        pytest.param(PolyH(c=rng.standard_normal(n), b=np.zeros((m, n))),
+                     id="zero-b"),
+        pytest.param(PolyH(c=rng.standard_normal(n), b=np.zeros((m, n)),
+                           Q=Q), id="Q-only")]
+
+
+@pytest.mark.parametrize("h", polyh_cases())
+def test_sparse_polyh_is_bitwise_equal(h):
+    m, n = h.b.shape
+    rng = np.random.default_rng(5)
+    window = WindowGrid(make_cell_grid(1.0, n), 20)
+    u = rng.random((m, window.npts)) * 2.0 - 0.5
+    xidx = window.xidx
+    ref = ref_polyh(h, u, xidx)
+    assert np.array_equal(h(u, xidx), ref)
+    gathered = PolyH(h.c[xidx], h.b[:, xidx],
+                     None if h.Q is None else h.Q[:, :, xidx])
+    assert np.array_equal(gathered(u, slice(None)), ref)
+    # the result is a fresh array, never a view of c
+    out = gathered(u, slice(None))
+    out += 1.0
+    assert np.array_equal(gathered.c, h.c[xidx])
+
+
+def test_sparse_linear_skips_zero_rows():
+    b = np.zeros((4, 8))
+    b[1, 2] = 0.5
+    b[3] = -1.0
+    assert PolyH(c=np.zeros(8), b=b)._rows == (1, 3)
+    assert PolyH(c=np.zeros(8), b=np.zeros((4, 8)))._rows == ()
+
+
+@pytest.mark.parametrize("h", rates(builtin_models(make_cell_grid(1.0, 16))))
+def test_max_abs_du_matches_full_lattice(h):
+    for box in (1.0, 4.0 / 3.0, 2.5):
+        assert h.max_abs_du(-box, box) == ref_max_abs_du(h, -box, box)
+
+
+def test_gamma0_chain_m8_within_budget():
+    model = make_model("chain-m", m=8)
+    t0 = time.perf_counter()
+    gamma0 = _gamma0(model, 4.0 / 3.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert gamma0 == 1.0     # |b_00| = 1 beats |b_ii| = |1 - a| = 0.2
+
+
+def test_kappa_solves_once_per_key(monkeypatch):
+    solves = []
+    real = dispersion.principal_eig_scalar
+
+    def counting(spec, **kw):
+        solves.append(spec.lam)
+        return real(spec, **kw)
+
+    monkeypatch.setattr(dispersion, "principal_eig_scalar", counting)
+    disp = Dispersion(make_model("periodic2"))
+    first = [disp.kappa(i, lam) for i in (0, 1) for lam in (0.5, 0.7)]
+    again = [disp.kappa(i, lam + 1e-14) for i in (0, 1) for lam in (0.5, 0.7)]
+    assert first == again and len(solves) == 4
+    assert disp.kappa(0, 0.5) == disp._pair(0, 0.5).value
+
+
+# ---------------------------------------------------------------------------
+# grouped implicit solves
+
+
+def shared_operator_model(n=32, seed=2):
+    """m = 3: components 0 and 2 share (d, q), component 1 does not."""
+    rng = np.random.default_rng(seed)
+    cell = make_cell_grid(1.0, n)
+    d0 = 1.0 + 0.3 * rng.random(n)
+    q0 = 0.2 * rng.standard_normal(n)
+    d = np.stack([d0, 1.0 + 0.3 * rng.random(n), d0])
+    q = np.stack([q0, 0.2 * rng.standard_normal(n), q0])
+    hs = []
+    for i in range(3):
+        b = np.zeros((3, n))
+        b[i] = -1.0
+        hs.append(PolyH(c=np.full(n, 1.0 if i == 0 else -1.0), b=b))
+    return ReactionModel(cell, d, q, {(1, 0): np.full(n, 1.2),
+                                      (2, 1): np.full(n, 1.2)},
+                         hs, name="shared02")
+
+
+def heat_model(cell, m=2):
+    n = cell.n
+    hs = [PolyH(c=np.zeros(n), b=np.zeros((m, n))) for _ in range(m)]
+    return ReactionModel(cell, np.ones((m, n)), np.zeros((m, n)), {}, hs,
+                         name="heat")
+
+
+def solve_cases():
+    cell = make_cell_grid(1.0, 32)
+    cases = [(make_model("chain-m", cell, m=5), [slice(0, 5)]),
+             (make_model("custom2", cell, **MODELS[2][1]),
+              [slice(0, 1), slice(1, 2)]),
+             (shared_operator_model(), [[0, 2], slice(1, 2)]),
+             (heat_model(cell), [slice(0, 2)])]
+    return [pytest.param(model, groups, id=model.name)
+            for model, groups in cases]
+
+
+@pytest.mark.parametrize("model,groups", solve_cases())
+def test_grouped_solves_are_bitwise_equal(model, groups):
+    window = WindowGrid(model.cell, 20)
+    cfg = StepperConfig(dt=2e-3, left_value=1.0, right_value=0.0)
+    stepper = Stepper(model, window, cfg)
+    assert [comps for comps, _ in stepper._solves] == groups
+    rng = np.random.default_rng(9)
+    state = SimState(0.0, rng.random((model.m, window.npts)))
+    for _ in range(3):
+        ref = ref_step(stepper, state)
+        state = stepper.step(state)
+        assert np.array_equal(state.u, ref)
+
+
+def test_constant2_and_periodic2_share_their_operator():
+    for name in ("constant2", "periodic2"):
+        model = make_model(name)
+        stepper = Stepper(model, WindowGrid(model.cell, 20),
+                          StepperConfig(dt=0.01))
+        assert len(stepper._solves) == 1
+
+
+# ---------------------------------------------------------------------------
+# CSV writers
+
+
+SPECIAL = [0.0, -0.0, 1.0, 5e-324, 1e-300, -1e-300, 1.0 / 3.0, 2.0 ** 60,
+           np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("block", [7, sim.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("nsnap", [1, 3])
+def test_save_csv_bytes_match(tmp_path, monkeypatch, block, nsnap):
+    monkeypatch.setattr(sim, "CSV_BLOCK_ROWS", block)
+    window = WindowGrid(make_cell_grid(1.0, 128), 20, x_lo=-7.0)
+    assert window.npts > block and window.npts % block != 0
+    rng = np.random.default_rng(4)
+    traj = Trajectory(window)
+    for k in range(nsnap):
+        u = rng.random((3, window.npts))
+        u[:, :len(SPECIAL)] = SPECIAL
+        u[1, -len(SPECIAL):] = SPECIAL
+        traj.append(SimState([0.0, -0.0, 0.1 * np.pi][k], u))
+    traj.save_csv(tmp_path / "new.csv")
+    ref_save_csv(traj, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [7, sim.CSV_BLOCK_ROWS])
+def test_write_csv_bytes_match(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(sim, "CSV_BLOCK_ROWS", block)
+    rng = np.random.default_rng(6)
+    table = rng.standard_normal((4099, 4))   # two full default blocks + 3
+    table[:len(SPECIAL), 1] = SPECIAL
+    cases = {
+        # fits.csv: int component and tau columns, nan/inf fits
+        "fits": [(1, 0.5, 0.25, 0, 0.01), (2, np.nan, np.inf, 1, -np.inf),
+                 (3, 5e-324, -0.0, 1, 1e-300)],
+        "fronts": [(0.5, 12.0, float("nan")), (1.0, 13.25, 2.5)],
+        "empty": [],
+        "array": table,
+    }
+    for name, rows in cases.items():
+        _write_csv(tmp_path / f"{name}.csv", "a, b", rows)
+        ref_write_csv(tmp_path / f"{name}-ref.csv", "a, b", rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}-ref.csv").read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

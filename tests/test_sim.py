@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from perifront import (Dispersion, SimState, StepperConfig, WindowGrid,
-                       build_initial_front_like, make_cell_grid, make_model,
-                       read_binary, run, step, write_binary)
+from perifront import (Dispersion, SimState, Stepper, StepperConfig,
+                       WindowGrid, build_initial_front_like, make_cell_grid,
+                       make_model, read_binary, run, write_binary)
 from perifront.errors import FrontError, PerifrontError
 from perifront.models import PolyH, ReactionModel
 
@@ -39,7 +39,7 @@ class TestStep:
         model = heat_model(constant2.cell)
         cfg = StepperConfig(dt=0.01, left_value=0.4, right_value=0.4)
         st = SimState(0.0, np.full((2, win.npts), 0.4))
-        out = step(model, st, win, cfg)
+        out = Stepper(model, win, cfg).step(st)
         assert np.max(np.abs(out.u - 0.4)) <= 1e-12
 
     def test_one_is_equilibrium(self, constant2):
