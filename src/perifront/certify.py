@@ -764,6 +764,26 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
 # near-one Jacobian variation radius
 
 
+def _row_variation(model, J1: np.ndarray, i: int, rho: float,
+                   samples: int) -> float:
+    """max over nodes and the samples-point lattice of the box
+    [(1-rho), (1+rho)] of sum_k |J_ik(u) - J1_ik|.
+
+    Row i of the Jacobian reads only u_i and the components with a nonzero
+    b or Q entry in h_i (the couplings are constant), so the lattice spans
+    those alone, the others held at 1: the same maximum as the full
+    samples**m lattice."""
+    n = model.cell.n
+    deps = sorted({i} | model.h[i].reads)
+    pts = np.linspace(1.0 - rho, 1.0 + rho, samples)
+    corners = np.array(list(itertools.product(pts, repeat=len(deps))))
+    u = np.ones((model.m, len(corners) * n))
+    u[deps] = np.repeat(corners.T, n, axis=1)
+    Ji = model.jacobian_row(i, u, np.tile(np.arange(n), len(corners)))
+    tot = np.abs(Ji - np.tile(J1[i], len(corners))).sum(axis=0)
+    return float(tot.max())
+
+
 def compute_varrho(model, mu_minus: float, psi: np.ndarray,
                    samples: int = 3) -> tuple:
     """Per-component radius rho_i such that the Jacobian rows vary from
@@ -774,19 +794,10 @@ def compute_varrho(model, mu_minus: float, psi: np.ndarray,
     alpha_star = float(psi.min() / psi.max())
     bound = alpha_star * abs(mu_minus) / 2.0
     n = model.cell.n
-    xidx = np.arange(n)
-    ones = np.ones((model.m, n))
-    J1 = model.jacobian(ones, xidx)
+    J1 = model.jacobian(np.ones((model.m, n)), np.arange(n))
 
     def variation(i, rho):
-        pts = np.linspace(1.0 - rho, 1.0 + rho, samples)
-        worst = 0.0
-        for corner in itertools.product(pts, repeat=model.m):
-            u = np.repeat(np.asarray(corner)[:, None], n, axis=1)
-            J = model.jacobian(u, xidx)
-            tot = np.abs(J[i] - J1[i]).sum(axis=0)
-            worst = max(worst, float(tot.max()))
-        return worst
+        return _row_variation(model, J1, i, rho, samples)
 
     rhos = []
     for i in range(model.m):

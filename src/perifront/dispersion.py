@@ -31,10 +31,12 @@ __all__ = [
     "LinearizedFront",
     "Dispersion",
     "golden_section_min",
+    "bracket_and_minimize",
     "boundary_speeds_A6",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 64.0
 
 
@@ -54,6 +56,21 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
             fd = f(d)
     xm = 0.5 * (a + b)
     return xm, f(xm)
+
+
+def bracket_and_minimize(ratio, tol: float, error: str):
+    """Minimizer and minimum of a unimodal ratio over lam > 0.
+
+    The bracket [LAMBDA_MIN, 2 hi] is grown by doubling hi from 1 while
+    the ratio still decreases (PerifrontError(error) once hi passes
+    LAMBDA_MAX), then golden-section search to tol localizes the minimum.
+    """
+    hi = 1.0
+    while ratio(2.0 * hi) < ratio(hi):
+        hi *= 2.0
+        if hi > LAMBDA_MAX:
+            raise PerifrontError(error)
+    return golden_section_min(ratio, LAMBDA_MIN, 2.0 * hi, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -172,18 +189,12 @@ class Dispersion:
                 f"kappa_1(0) = {k0:.6g} <= 0: the zero state is not "
                 "linearly unstable, no finite spreading speed")
         ratio = lambda lam: self.kappa(0, lam) / lam
-        lo = 1e-4
-        hi = 1.0
-        while ratio(hi * 2.0) < ratio(hi):
-            hi *= 2.0
-            if hi > LAMBDA_MAX:
-                raise PerifrontError(
-                    f"no ratio minimum found below lam = {LAMBDA_MAX}")
-        lam0, _ = golden_section_min(ratio, lo, 2.0 * hi, tol=1e-8)
+        lam0, _ = bracket_and_minimize(
+            ratio, 1e-8, f"no ratio minimum found below lam = {LAMBDA_MAX}")
         # polish with the tangency condition lam*kappa' = kappa, whose root
         # is far better conditioned than the flat ratio minimum
         g = lambda lam: lam * self.kappa1_prime(lam, 1e-3) - self.kappa(0, lam)
-        a, b = max(lo, lam0 - 1e-2), lam0 + 1e-2
+        a, b = max(LAMBDA_MIN, lam0 - 1e-2), lam0 + 1e-2
         if g(a) < 0.0 < g(b):
             for _ in range(80):
                 mid = 0.5 * (a + b)
@@ -347,13 +358,8 @@ def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s, e: int = 1):
             eta=PeriodicField(cell, ev), lam=tilt_sign * lam, e=e)).value
 
     def minimize(ratio):
-        hi = 1.0
-        while ratio(2.0 * hi) < ratio(hi):
-            hi *= 2.0
-            if hi > LAMBDA_MAX:
-                raise PerifrontError("no bracket for boundary speed")
-        lam, val = golden_section_min(ratio, 1e-4, 2.0 * hi)
-        return val
+        return bracket_and_minimize(
+            ratio, 1e-11, "no bracket for boundary speed")[1]
 
     c_minus = minimize(lambda lam: make(d1, q1, a11s, lam, +1.0) / lam)
     c_plus = minimize(lambda lam: make(d2, q2, a22s, lam, -1.0) / lam)

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ReducibleCouplingError
 from .grid import (CellGrid, OperatorSpec, PeriodicField,
-                   assemble_tilted_operator, solve_cyclic_banded)
+                   assemble_tilted_operator)
 
 __all__ = [
     "EigenPair",
@@ -68,13 +68,13 @@ def principal_eig_scalar(spec: OperatorSpec, tol: float = 1e-10) -> EigenPair:
     """
     A = assemble_tilted_operator(spec)
     sigma = 1.0 + A.gershgorin_max()
-    S = A.shifted_from(sigma)
+    S = A.shifted_from(sigma).factor()
 
     n = A.n
     phi = np.ones(n)
     kappa = float(A.matvec(phi).mean())
     for it in range(1, MAX_ITER + 1):
-        w = solve_cyclic_banded(S, phi)
+        w = S.solve(phi)
         nu = w.mean()          # Perron value of (sigma*I - A)^-1 at convergence
         w = w / nu
         kappa_new = sigma - 1.0 / nu

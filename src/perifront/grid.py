@@ -9,6 +9,11 @@ are discretized with central differences, which keeps O(h**2) accuracy and,
 under the step restriction h <= 2*min(d)/max|q - 2*lam*d*e|, nonnegative
 off-diagonal entries (a Metzler matrix, so Perron-Frobenius structure
 survives discretization).
+
+Cell operators are factored once, gttrf/gttrs + precomputed border:
+BandedMatrix.factor() runs one LAPACK gttrf of the tridiagonal part and
+solves the rank-1 periodic border once, so each solve is one gttrs plus a
+rank-1 update, bit-for-bit the same as factoring anew with gtsv.
 """
 
 from __future__ import annotations
@@ -16,15 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import GridError, MetzlerError, SingularSystemError
+
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 __all__ = [
     "CellGrid",
     "PeriodicField",
     "OperatorSpec",
     "BandedMatrix",
+    "BandedFactor",
     "make_cell_grid",
     "assemble_tilted_operator",
     "solve_cyclic_banded",
@@ -190,6 +198,10 @@ class BandedMatrix:
         return float(np.max(np.abs(self.main) + np.abs(self.sub)
                             + np.abs(self.sup)))
 
+    def factor(self) -> "BandedFactor":
+        """Factor once for repeated solves with this matrix."""
+        return BandedFactor(self)
+
 
 def make_cell_grid(L: float, n: int) -> CellGrid:
     return CellGrid(float(L), int(n))
@@ -222,68 +234,85 @@ def assemble_tilted_operator(spec: OperatorSpec) -> BandedMatrix:
     return BandedMatrix(sub, main, sup, periodic=True)
 
 
-def _thomas(ab_sub, ab_main, ab_sup, rhs):
-    """Plain tridiagonal solve through scipy's banded LAPACK wrapper."""
-    n = len(ab_main)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = ab_sup[:-1]
-    ab[1, :] = ab_main
-    ab[2, :-1] = ab_sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+class BandedFactor:
+    """LU factors of a (cyclic) tridiagonal matrix, computed once.
+
+    Periodic corners are removed by a rank-1 bordering: A = B + u v^T with
+    B tridiagonal, u = (gamma, 0, ..., 0, beta) and
+    v = (1, 0, ..., 0, alpha/gamma).  B is factored by LAPACK gttrf, and the
+    border z = B^-1 u and 1 + v.z are precomputed, so a solve is one gttrs
+    plus a rank-1 (Sherman-Morrison) update.  gttrf + gttrs do the
+    operations of gtsv in the same order, pivoted rows included.
+
+    The factor is of A as it is when factor() is called; solve() keeps one
+    refinement pass and the 1e-10 * scale residual contract on every call.
+    """
+
+    def __init__(self, A: BandedMatrix):
+        n = A.n
+        if n < 3:
+            raise SingularSystemError("system too small for banded solve")
+        self.A = A
+        self._norm = A.norm_inf()
+        main = A.main
+        if A.periodic:
+            alpha = A.sub[0]      # (0, n-1) corner
+            beta = A.sup[n - 1]   # (n-1, 0) corner
+            gamma = -A.main[0] if A.main[0] != 0.0 else 1.0
+            main = A.main.copy()
+            main[0] -= gamma
+            main[-1] -= alpha * beta / gamma
+        *self._lu, info = _gttrf(A.sub[1:], main, A.sup[:-1])
+        if info != 0:
+            raise SingularSystemError(
+                f"tridiagonal factor has a zero pivot at row {info}")
+        self._z = None
+        if A.periodic:
+            u = np.zeros(n)
+            u[0] = gamma
+            u[-1] = beta
+            self._z = self._gttrs(u)
+            self._ratio = alpha / gamma
+            self._denom = 1.0 + (self._z[0] + self._ratio * self._z[-1])
+            if abs(self._denom) < 1e-14:
+                raise SingularSystemError(
+                    "bordered correction became singular")
+
+    def _gttrs(self, r: np.ndarray) -> np.ndarray:
+        return _gttrs(*self._lu, r)[0]
+
+    def _raw_solve(self, r: np.ndarray) -> np.ndarray:
+        y = self._gttrs(r)
+        if self._z is None:
+            return y
+        vy = y[0] + self._ratio * y[-1]
+        return y - self._z * (vy / self._denom)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs; raises SingularSystemError on a non-finite
+        solution or a residual above 1e-10 * max(||rhs||, ||x|| ||A||)."""
+        rhs = np.asarray(rhs, dtype=float)
+        x = self._raw_solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("solve produced non-finite values")
+
+        # one refinement pass, then enforce the residual contract
+        A = self.A
+        r = rhs - A.matvec(x)
+        x = x + self._raw_solve(r)
+        scale = max(float(np.max(np.abs(rhs))),
+                    float(np.max(np.abs(x))) * self._norm)
+        resid = float(np.max(np.abs(rhs - A.matvec(x))))
+        if scale > 0 and resid > 1e-10 * scale:
+            raise SingularSystemError(
+                f"residual {resid:.3e} exceeds contract (system near-singular)")
+        return x
 
 
 def solve_cyclic_banded(A: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for a (cyclic) tridiagonal A.
-
-    Periodic corners are removed by a rank-1 bordering correction: write
-    A = B + u v^T with B tridiagonal, solve two tridiagonal systems and
-    recombine.  One step of iterative refinement keeps the residual at the
-    1e-10 * ||rhs||_inf contract even for marginally conditioned systems.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    n = A.n
-    if n < 3:
-        raise SingularSystemError("system too small for banded solve")
-
-    def raw_solve(r):
-        if not A.periodic:
-            return _thomas(A.sub, A.main, A.sup, r)
-        alpha = A.sub[0]      # (0, n-1) corner
-        beta = A.sup[n - 1]   # (n-1, 0) corner
-        gamma = -A.main[0] if A.main[0] != 0.0 else 1.0
-        main = A.main.copy()
-        main[0] -= gamma
-        main[-1] -= alpha * beta / gamma
-        u = np.zeros(n)
-        u[0] = gamma
-        u[-1] = beta
-        y = _thomas(A.sub, main, A.sup, r)
-        z = _thomas(A.sub, main, A.sup, u)
-        # v = (1, 0, ..., 0, alpha/gamma)
-        vy = y[0] + alpha / gamma * y[-1]
-        vz = z[0] + alpha / gamma * z[-1]
-        denom = 1.0 + vz
-        if abs(denom) < 1e-14:
-            raise SingularSystemError("bordered correction became singular")
-        return y - z * (vy / denom)
-
-    try:
-        x = raw_solve(rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("solve produced non-finite values")
-
-    # one refinement pass, then enforce the residual contract
-    r = rhs - A.matvec(x)
-    x = x + raw_solve(r)
-    scale = max(float(np.max(np.abs(rhs))),
-                float(np.max(np.abs(x))) * A.norm_inf())
-    resid = float(np.max(np.abs(rhs - A.matvec(x))))
-    if scale > 0 and resid > 1e-10 * scale:
-        raise SingularSystemError(
-            f"residual {resid:.3e} exceeds contract (system near-singular)")
-    return x
+    """Solve A x = rhs once for a (cyclic) tridiagonal A; callers solving
+    with the same A repeatedly should keep A.factor() instead."""
+    return A.factor().solve(rhs)
 
 
 def first_derivative(f: PeriodicField) -> PeriodicField:

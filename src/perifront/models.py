@@ -65,6 +65,12 @@ class PolyH:
         object.__setattr__(self, "_pairs",
                            tuple((int(k), int(l)) for k, l in nz))
 
+    @property
+    def reads(self) -> set:
+        """The components k of u that h reads: nonzero rows of b and the
+        components of nonzero pairs of Q."""
+        return set(self._rows).union(*self._pairs)
+
     def __call__(self, u: np.ndarray, xidx) -> np.ndarray:
         """u: (m, npts), xidx: (npts,) cell-node indices -> (npts,); pass
         slice(None) when the coefficients are already gathered onto u's
@@ -170,19 +176,24 @@ class ReactionModel:
 
     def jacobian(self, u: np.ndarray, xidx: np.ndarray) -> np.ndarray:
         """Pointwise Jacobian dF/du; returns (m, m, npts)."""
+        return np.stack([self.jacobian_row(i, u, xidx)
+                         for i in range(u.shape[0])])
+
+    def jacobian_row(self, i: int, u: np.ndarray,
+                     xidx: np.ndarray) -> np.ndarray:
+        """Row i of the pointwise Jacobian, dF_i/du; returns (m, npts)."""
         m, npts = u.shape
-        J = np.zeros((m, m, npts))
-        for i in range(m):
-            hi = self.h[i](u, xidx)
-            for k in range(m):
-                J[i, k] = u[i] * self.h[i].du(k, u, xidx)
-                if k == i:
-                    J[i, k] += hi
-                elif k < i:
-                    a = self.coupling(i, k)
-                    if a is not None:
-                        J[i, k] += a[xidx]
-        return J
+        row = np.empty((m, npts))
+        hi = self.h[i](u, xidx)
+        for k in range(m):
+            row[k] = u[i] * self.h[i].du(k, u, xidx)
+            if k == i:
+                row[k] += hi
+            elif k < i:
+                a = self.coupling(i, k)
+                if a is not None:
+                    row[k] += a[xidx]
+        return row
 
     def reaction_lipschitz(self, samples: int = 5) -> float:
         """max |dF_i/du_i| over the box lattice; bounds the explicit step.
@@ -195,8 +206,7 @@ class ReactionModel:
         n = self.cell.n
         best = 0.0
         for i, hi in enumerate(self.h):
-            deps = {i, *np.nonzero((hi.b != 0.0).any(axis=1))[0].tolist()}
-            deps = sorted(deps.union(*hi._pairs))
+            deps = sorted({i} | hi.reads)
             corners = np.array(list(itertools.product(pts, repeat=len(deps))))
             u = np.zeros((self.m, len(corners) * n))
             u[deps] = np.repeat(corners.T, n, axis=1)
@@ -410,7 +420,7 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
 def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02,
                    also_state: bool = False):
     """Integrate the model with periodic BCs on one cell (IMEX, coarse)."""
-    from .grid import BandedMatrix, assemble_tilted_operator, solve_cyclic_banded
+    from .grid import BandedMatrix, assemble_tilted_operator
 
     n = model.cell.n
     xidx = np.arange(n)
@@ -420,13 +430,13 @@ def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02,
         A = assemble_tilted_operator(OperatorSpec(
             d=model.d_field(i), q=model.q_field(i),
             eta=PeriodicField(model.cell, np.zeros(n)), lam=0.0, e=1))
-        S = BandedMatrix(-dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True)
-        solvers.append(S)
+        solvers.append(BandedMatrix(
+            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True).factor())
     steps = int(round(T / dt))
     for _ in range(steps):
         Fu = model.F(u, xidx)
         for i in range(model.m):
-            u[i] = solve_cyclic_banded(solvers[i], u[i] + dt * Fu[i])
+            u[i] = solvers[i].solve(u[i] + dt * Fu[i])
     dist = float(np.max(np.abs(u - 1.0)))
     return (dist, u) if also_state else dist
 
@@ -471,7 +481,7 @@ class CompetitionSpec:
 def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
     """Positive periodic steady state of u_t = d u'' + a u' + u (b - aii u),
     by time stepping from the constant supersolution max(b)/min(aii)."""
-    from .grid import BandedMatrix, assemble_tilted_operator, solve_cyclic_banded
+    from .grid import BandedMatrix, assemble_tilted_operator
 
     lam0 = principal_eig_scalar(OperatorSpec(
         d=PeriodicField(cell, d), q=PeriodicField(cell, a),
@@ -483,11 +493,12 @@ def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
     A = assemble_tilted_operator(OperatorSpec(
         d=PeriodicField(cell, d), q=PeriodicField(cell, a),
         eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
-    S = BandedMatrix(-dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True)
+    S = BandedMatrix(-dt * A.sub, 1.0 - dt * A.main, -dt * A.sup,
+                     True).factor()
     u = np.full(cell.n, float(np.max(b) / np.min(aii)))
     for _ in range(int(2e5)):
         f = u * (b - aii * u)
-        u_new = solve_cyclic_banded(S, u + dt * f)
+        u_new = S.solve(u + dt * f)
         rate = float(np.max(np.abs(u_new - u))) / dt
         u = u_new
         if rate <= tol:

@@ -12,6 +12,11 @@ def read_json(path):
         return json.load(fh)
 
 
+def first_line(path):
+    with open(path) as fh:
+        return fh.readline()
+
+
 class TestDispersionCommand:
     def test_constant_benchmark_values(self, tmp_path):
         out = tmp_path / "disp"
@@ -23,7 +28,7 @@ class TestDispersionCommand:
         assert abs(res["lambda_plus0"] - 1.0) <= 1e-6
         assert abs(res["lambda_c"]["2.5"] - 0.5) <= 1e-6
         assert res["H6_ok"] is True
-        header = open(out / "dispersion.csv").readline()
+        header = first_line(out / "dispersion.csv")
         assert header.startswith("# lambda, kappa_1")
 
     def test_resolved_config_written(self, tmp_path):
@@ -78,7 +83,7 @@ class TestCertifyCommand:
         rc = main(["certify", "--model", "constant2", "--c", "2.5",
                    "--out", str(out)])
         assert rc == 0
-        header = open(out / "margins.csv").readline()
+        header = first_line(out / "margins.csv")
         assert header.startswith("# component, s, t, margin")
         res = read_json(out / "results.json")
         assert all(rep["verdict"] == "pass" for rep in res["reports"])
@@ -118,7 +123,7 @@ class TestSimulateAndFront:
         assert rc == 0
         res = read_json(out / "results.json")
         assert abs(res["c_est"] - 2.5) <= 0.02 * 2.5
-        header = open(out / "fronts.csv").readline()
+        header = first_line(out / "fronts.csv")
         assert header.startswith("# t, position, c_running")
 
     def test_snapshots_round_trip(self, tmp_path):
@@ -127,7 +132,7 @@ class TestSimulateAndFront:
                    "--T", "12", "--window-cells", "70",
                    "--snapshot-dt", "0.4", "--out", str(out)])
         assert rc == 0
-        header = open(out / "snapshots.csv").readline()
+        header = first_line(out / "snapshots.csv")
         assert header == "# t, x, u_1, u_2, u_3\n"
         data = np.loadtxt(out / "snapshots.csv", delimiter=",")
         window = WindowGrid(make_cell_grid(1.0, 64), 70)

@@ -8,6 +8,9 @@ equal too, and the block-formatted CSV writers must write the same bytes
 as the per-value f-strings.  The one-stencil profile shifts take one
 interpolation weight per shift where the loops recomputed it per column,
 so shift_distance and convergence_metric may differ by roundoff only.
+The factored cell operators (gttrf once, gttrs per solve) run the
+operations of the two-gtsv bordered solve in the same order, so every
+solve, eigenpair and relaxation must be bit-for-bit equal.
 """
 
 import dataclasses
@@ -20,14 +23,21 @@ import pytest
 
 import perifront.dispersion as dispersion
 import perifront.fronts as fronts
+import perifront.models as models
 import perifront.sim as sim
+from scipy.linalg import solve_banded
 from perifront import (Dispersion, SimState, Stepper, StepperConfig,
                        Trajectory, WindowGrid, convergence_metric,
                        extract_profile, make_cell_grid, make_model,
                        shift_distance)
-from perifront.certify import _gamma0
+import perifront.certify as certify
+from perifront.certify import _gamma0, compute_varrho
 from perifront.cli import _write_csv
 from perifront.dispersion import golden_section_min
+from perifront.eigen import MAX_ITER, principal_eig_scalar
+from perifront.errors import SingularSystemError
+from perifront.grid import (BandedMatrix, OperatorSpec, PeriodicField,
+                            assemble_tilted_operator, solve_cyclic_banded)
 from perifront.models import (PolyH, ReactionModel,
                               competition_to_cooperative,
                               make_competition_spec)
@@ -112,6 +122,81 @@ def ref_reaction_lipschitz(model, samples=5):
         for i in range(model.m):
             best = max(best, float(np.max(np.abs(J[i, i]))))
     return best
+
+
+def ref_thomas(sub, main, sup, rhs):
+    """One plain tridiagonal solve, LAPACK gtsv through solve_banded."""
+    n = len(main)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1, :] = main
+    ab[2, :-1] = sub[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def ref_solve_cyclic_banded(A, rhs):
+    """The bordered solve factoring B twice per pass: gtsv on rhs and on
+    the border u, recombined by Sherman-Morrison, then one refinement."""
+    rhs = np.asarray(rhs, dtype=float)
+    n = A.n
+
+    def raw_solve(r):
+        if not A.periodic:
+            return ref_thomas(A.sub, A.main, A.sup, r)
+        alpha = A.sub[0]
+        beta = A.sup[n - 1]
+        gamma = -A.main[0] if A.main[0] != 0.0 else 1.0
+        main = A.main.copy()
+        main[0] -= gamma
+        main[-1] -= alpha * beta / gamma
+        u = np.zeros(n)
+        u[0] = gamma
+        u[-1] = beta
+        y = ref_thomas(A.sub, main, A.sup, r)
+        z = ref_thomas(A.sub, main, A.sup, u)
+        vy = y[0] + alpha / gamma * y[-1]
+        vz = z[0] + alpha / gamma * z[-1]
+        denom = 1.0 + vz
+        if abs(denom) < 1e-14:
+            raise SingularSystemError("bordered correction became singular")
+        return y - z * (vy / denom)
+
+    try:
+        x = raw_solve(rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("solve produced non-finite values")
+    r = rhs - A.matvec(x)
+    x = x + raw_solve(r)
+    scale = max(float(np.max(np.abs(rhs))),
+                float(np.max(np.abs(x))) * A.norm_inf())
+    resid = float(np.max(np.abs(rhs - A.matvec(x))))
+    if scale > 0 and resid > 1e-10 * scale:
+        raise SingularSystemError("residual exceeds contract")
+    return x
+
+
+def ref_principal_eig_scalar(spec, tol=1e-10):
+    """Inverse power iteration re-solving sigma I - A from scratch each
+    iteration; returns (value, vector, iterations)."""
+    A = assemble_tilted_operator(spec)
+    sigma = 1.0 + A.gershgorin_max()
+    S = A.shifted_from(sigma)
+    phi = np.ones(A.n)
+    kappa = float(A.matvec(phi).mean())
+    for it in range(1, MAX_ITER + 1):
+        w = ref_solve_cyclic_banded(S, phi)
+        nu = w.mean()
+        w = w / nu
+        kappa_new = sigma - 1.0 / nu
+        resid = float(np.max(np.abs(A.matvec(w) - kappa_new * w)))
+        done = (abs(kappa_new - kappa) <= tol * max(1.0, abs(kappa_new))
+                and resid <= tol * max(1.0, abs(kappa_new)))
+        phi, kappa = w, kappa_new
+        if done:
+            return kappa, phi, it
+    raise AssertionError("reference iteration did not converge")
 
 
 def ref_sup_dist_shifted(U, V, z):
@@ -527,3 +612,335 @@ def test_convergence_metric_clamps_at_both_ends():
         # the clamps cost a few percent of fit, the front is still found
         assert np.allclose(got[1], 8.0 - C * start, atol=0.5)
         assert np.max(got[2]) <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# factored cell operators
+
+
+def cell_models():
+    """The built-in models at the cell size their eigensolves use."""
+    return builtin_models(make_cell_grid(1.0, 64))
+
+
+def imex_matrix(A, dt):
+    return BandedMatrix(-dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True)
+
+
+def untilted(model, i):
+    n = model.cell.n
+    return assemble_tilted_operator(OperatorSpec(
+        d=model.d_field(i), q=model.q_field(i),
+        eta=PeriodicField(model.cell, np.zeros(n)), lam=0.0, e=1))
+
+
+@pytest.mark.parametrize("model", cell_models(), ids=lambda m: m.name)
+def test_factored_eigen_systems_are_bitwise_equal(model):
+    """sigma I - A of every component and tilt, with the ones start and a
+    random right-hand side, each solved twice from one factor."""
+    disp = Dispersion(model)
+    rhs = np.random.default_rng(4).random(model.cell.n)
+    for i in range(model.m):
+        for lam in (0.0, 0.35, 1.0, 2.5):
+            for e in (1, -1):
+                disp.e = e
+                A = assemble_tilted_operator(disp._component_spec(i, lam))
+                S = A.shifted_from(1.0 + A.gershgorin_max())
+                F = S.factor()
+                for r in (np.ones(A.n), rhs):
+                    assert np.array_equal(F.solve(r),
+                                          ref_solve_cyclic_banded(S, r))
+
+
+@pytest.mark.parametrize("model", cell_models(), ids=lambda m: m.name)
+def test_scalar_eigenpairs_match_reference_loop(model):
+    disp = Dispersion(model)
+    for i in range(model.m):
+        for lam in (0.0, 0.7):
+            spec = disp._component_spec(i, lam)
+            pair = principal_eig_scalar(spec)
+            value, vector, iterations = ref_principal_eig_scalar(spec)
+            assert pair.value == value
+            assert pair.iterations == iterations
+            assert np.array_equal(pair.vector.values, vector)
+
+
+@pytest.mark.parametrize("model", [m for m in cell_models() if m.m > 1],
+                         ids=lambda m: m.name)
+def test_cascade_systems_are_bitwise_equal(model):
+    disp = Dispersion(model)
+    for lam in (0.3, 1.0):
+        kappa1 = disp.kappa(0, lam)
+        comps = [disp._pair(0, lam).vector.values]
+        for j in range(1, model.m):
+            A_j = assemble_tilted_operator(disp._component_spec(j, lam))
+            S = A_j.shifted_from(kappa1)
+            rhs = np.zeros(model.cell.n)
+            for k in range(j):
+                a_jk = model.coupling(j, k)
+                if a_jk is not None:
+                    rhs += a_jk * comps[k]
+            x = solve_cyclic_banded(S, rhs)
+            assert np.array_equal(x, ref_solve_cyclic_banded(S, rhs))
+            comps.append(x)
+
+
+def ref_relax_on_cell(model, u0, T, dt=0.02):
+    n = model.cell.n
+    xidx = np.arange(n)
+    u = np.full((model.m, n), float(u0))
+    S = [imex_matrix(untilted(model, i), dt) for i in range(model.m)]
+    for _ in range(int(round(T / dt))):
+        Fu = model.F(u, xidx)
+        for i in range(model.m):
+            u[i] = ref_solve_cyclic_banded(S[i], u[i] + dt * Fu[i])
+    return u
+
+
+@pytest.mark.parametrize("model", cell_models(), ids=lambda m: m.name)
+def test_relax_on_cell_is_bitwise_equal(model):
+    dist, u = models._relax_on_cell(model, u0=0.5, T=2.0, also_state=True)
+    ref = ref_relax_on_cell(model, 0.5, T=2.0)
+    assert np.array_equal(u, ref)
+    assert dist == float(np.max(np.abs(ref - 1.0)))
+
+
+def ref_scalar_logistic_steady_state(cell, d, a, b, aii, tol):
+    dt = min(0.2, 0.2 / max(1.0, float(np.max(np.abs(b)))))
+    A = assemble_tilted_operator(OperatorSpec(
+        d=PeriodicField(cell, d), q=PeriodicField(cell, a),
+        eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
+    S = imex_matrix(A, dt)
+    u = np.full(cell.n, float(np.max(b) / np.min(aii)))
+    for _ in range(int(2e5)):
+        f = u * (b - aii * u)
+        u_new = ref_solve_cyclic_banded(S, u + dt * f)
+        rate = float(np.max(np.abs(u_new - u))) / dt
+        u = u_new
+        if rate <= tol:
+            return u
+    raise AssertionError("reference steady state did not settle")
+
+
+@pytest.mark.parametrize("name", ["competition-const", "competition-strong",
+                                  "competition-periodic"])
+def test_competition_steady_states_are_bitwise_equal(name):
+    spec = make_competition_spec(name, make_cell_grid(1.0, 64))
+    u1, u2 = models.competition_steady_states(spec)
+    for u, args in ((u1, (spec.d1, spec.a1, spec.b1, spec.a11)),
+                    (u2, (spec.d2, spec.a2, spec.b2, spec.a22))):
+        ref = ref_scalar_logistic_steady_state(spec.cell, *args, 1e-10)
+        assert np.array_equal(u.values, ref)
+
+
+def random_tridiagonal(rng, n, periodic):
+    """Entries of both signs and no diagonal dominance, so gttrf pivots."""
+    return BandedMatrix(rng.standard_normal(n), rng.standard_normal(n),
+                        rng.standard_normal(n), periodic)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_random_pivoting_matrices_are_bitwise_equal(periodic):
+    rng = np.random.default_rng(21)
+    pivoted = 0
+    for trial in range(200):
+        n = int(rng.integers(3, 80))
+        A = random_tridiagonal(rng, n, periodic)
+        pivoted += bool(np.any(np.abs(A.main[:-1]) < np.abs(A.sub[1:])))
+        rhs = rng.standard_normal(n)
+        try:
+            ref = ref_solve_cyclic_banded(A, rhs)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                A.factor().solve(rhs)
+            continue
+        assert np.array_equal(A.factor().solve(rhs), ref)
+    assert pivoted > 150
+
+
+def test_dirichlet_branch_matches_dense_solve():
+    rng = np.random.default_rng(8)
+    for n in (3, 17, 64):
+        sub = rng.uniform(0.1, 1.0, n)
+        sup = rng.uniform(0.1, 1.0, n)
+        A = BandedMatrix(sub, -(sub + sup) - rng.uniform(0.5, 1.0, n), sup,
+                         periodic=False)
+        rhs = rng.standard_normal(n)
+        x = A.factor().solve(rhs)
+        assert np.max(np.abs(x - np.linalg.solve(A.to_dense(), rhs))) <= 1e-12
+        assert np.array_equal(x, ref_solve_cyclic_banded(A, rhs))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_zero_matrix_still_raises(periodic):
+    n = 32
+    A = BandedMatrix(np.zeros(n), np.zeros(n), np.zeros(n), periodic)
+    with pytest.raises(SingularSystemError):
+        A.factor()
+    with pytest.raises(SingularSystemError):
+        solve_cyclic_banded(A, np.ones(n))
+
+
+# ---------------------------------------------------------------------------
+# one bracket-then-minimise routine
+
+
+def ref_bracket_golden(ratio, tol, message):
+    """The bracket loop each caller carried inline."""
+    hi = 1.0
+    while ratio(hi * 2.0) < ratio(hi):
+        hi *= 2.0
+        if hi > dispersion.LAMBDA_MAX:
+            raise dispersion.PerifrontError(message)
+    return golden_section_min(ratio, 1e-4, 2.0 * hi, tol=tol)
+
+
+def ref_critical_speed(disp):
+    ratio = lambda lam: disp.kappa(0, lam) / lam
+    lam0, _ = ref_bracket_golden(ratio, 1e-8, "no ratio minimum")
+    g = lambda lam: lam * disp.kappa1_prime(lam, 1e-3) - disp.kappa(0, lam)
+    a, b = max(1e-4, lam0 - 1e-2), lam0 + 1e-2
+    if g(a) < 0.0 < g(b):
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if g(mid) < 0.0:
+                a = mid
+            else:
+                b = mid
+            if b - a <= 1e-12 * max(1.0, b):
+                break
+        lam0 = 0.5 * (a + b)
+    return ratio(lam0), lam0
+
+
+@pytest.mark.parametrize("model", all_models()[:5], ids=lambda m: m.name)
+def test_critical_speed_is_bitwise_equal(model):
+    for e in (1, -1):
+        assert Dispersion(model, e=e).critical_speed() == \
+            ref_critical_speed(Dispersion(model, e=e))
+
+
+@pytest.mark.parametrize("name", ["competition-const", "competition-strong",
+                                  "competition-periodic"])
+def test_boundary_speeds_are_bitwise_equal(name):
+    cell = make_cell_grid(1.0, 64)
+    tc = competition_to_cooperative(make_competition_spec(name, cell))
+    spec = tc.spec
+    args = (cell, spec.d1, tc.model.q[0], tc.a11s,
+            spec.d2, tc.model.q[1], tc.a22s)
+
+    def ref(dv, qv, ev, sign):
+        ratio = lambda lam: principal_eig_scalar(OperatorSpec(
+            d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),
+            eta=PeriodicField(cell, ev), lam=sign * lam)).value / lam
+        return ref_bracket_golden(ratio, 1e-11, "no bracket")[1]
+
+    expected = (ref(*args[1:4], +1.0), ref(*args[4:7], -1.0))
+    assert dispersion.boundary_speeds_A6(*args) == expected
+
+
+def test_bracket_keeps_each_callers_guard_message():
+    falling = lambda lam: -lam
+    for tol, message in ((1e-8, "no ratio minimum found below lam = 64.0"),
+                         (1e-11, "no bracket for boundary speed")):
+        with pytest.raises(dispersion.PerifrontError, match=message):
+            dispersion.bracket_and_minimize(falling, tol, message)
+    lam, val = dispersion.bracket_and_minimize(
+        lambda lam: (lam - 3.0) ** 2 + 1.0, 1e-11, "unused")
+    assert lam == pytest.approx(3.0, abs=1e-5) and val == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# near-one Jacobian variation radius
+
+
+def ref_variation(model, J1, i, rho, samples=3):
+    """max of sum_k |J_ik(u) - J1_ik| over the full samples**m lattice."""
+    n = model.cell.n
+    pts = np.linspace(1.0 - rho, 1.0 + rho, samples)
+    worst = 0.0
+    for corner in itertools.product(pts, repeat=model.m):
+        u = np.repeat(np.asarray(corner)[:, None], n, axis=1)
+        J = model.jacobian(u, np.arange(n))
+        worst = max(worst, float(np.abs(J[i] - J1[i]).sum(axis=0).max()))
+    return worst
+
+
+def ref_compute_varrho(model, mu_minus, psi, samples=3):
+    bound = float(psi.min() / psi.max()) * abs(mu_minus) / 2.0
+    n = model.cell.n
+    J1 = model.jacobian(np.ones((model.m, n)), np.arange(n))
+    rhos = []
+    for i in range(model.m):
+        if ref_variation(model, J1, i, 1.0, samples) <= bound:
+            rhos.append(1.0)
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ref_variation(model, J1, i, mid, samples) <= bound:
+                lo = mid
+            else:
+                hi = mid
+        rhos.append(lo)
+    return rhos, min(1.0, min(rhos))
+
+
+def seeded_sparse_q_model(m=3, n=16, seed=13):
+    """h_i reads u_i through b and u_{i+1} only through a Q pair, so the
+    lattice of row i must span the Q components as well as the b rows."""
+    rng = np.random.default_rng(seed)
+    cell = make_cell_grid(1.0, n)
+    hs = []
+    for i in range(m):
+        b = np.zeros((m, n))
+        b[i] = -1.0
+        Q = np.zeros((m, m, n))
+        Q[(i + 1) % m, (i + 1) % m] = rng.standard_normal(n)
+        hs.append(PolyH(c=np.ones(n), b=b, Q=Q))
+    couplings = {(i, i - 1): rng.random(n) for i in range(1, m)}
+    return ReactionModel(cell, np.ones((m, n)), np.zeros((m, n)),
+                         couplings, hs, name="sparse-Q")
+
+
+@pytest.mark.parametrize("model",
+                         builtin_models(make_cell_grid(1.0, 16))
+                         + [seeded_dense_model(m=4, seed=9),
+                            seeded_sparse_q_model()],
+                         ids=lambda m: f"{m.name}-m{m.m}")
+def test_row_variation_matches_full_lattice(model):
+    n = model.cell.n
+    J1 = model.jacobian(np.ones((model.m, n)), np.arange(n))
+    for rho in (0.0, 0.3, 1.0):
+        ref = [0.0] * model.m
+        for corner in itertools.product(np.linspace(1.0 - rho, 1.0 + rho, 3),
+                                        repeat=model.m):
+            u = np.repeat(np.asarray(corner)[:, None], n, axis=1)
+            Ju = model.jacobian(u, np.arange(n))
+            for i in range(model.m):
+                ref[i] = max(ref[i], float(
+                    np.abs(Ju[i] - J1[i]).sum(axis=0).max()))
+        assert [certify._row_variation(model, J1, i, rho, 3)
+                for i in range(model.m)] == ref
+
+
+@pytest.mark.parametrize("model", [m for m in all_models() if m.m <= 3]
+                         + [seeded_sparse_q_model()],
+                         ids=lambda m: f"{m.name}-m{m.m}")
+def test_compute_varrho_matches_full_lattice(model):
+    psi = np.ones((model.m, model.cell.n))
+    for mu in (-0.5, -20.0):
+        assert compute_varrho(model, mu, psi) == \
+            ref_compute_varrho(model, mu, psi)
+
+
+def test_compute_varrho_chain_m8_within_budget():
+    model = make_model("chain-m", m=8)
+    psi = np.ones((model.m, model.cell.n))
+    t0 = time.perf_counter()
+    rhos, rho_star = compute_varrho(model, -0.4, psi)
+    assert time.perf_counter() - t0 < 1.0
+    # bound 0.2: row 0 varies by |dF_0/du_0 - (-1)| = 2 r, rows i >= 1
+    # by 2 |1 - a| r = 0.4 r
+    assert rho_star == rhos[0] == pytest.approx(0.1, rel=1e-12)
+    assert rhos[1:] == pytest.approx([0.5] * 7, rel=1e-12)

@@ -197,5 +197,6 @@ class TestSerialization:
                                                      left_value=0.0), 0.02)
         path = tmp_path / "snap.csv"
         traj.save_csv(path)
-        header = open(path).readline()
+        with open(path) as fh:
+            header = fh.readline()
         assert header.startswith("# t, x, u_1, u_2")
