@@ -17,8 +17,7 @@ from .models import (PolyH, ReactionModel, CompetitionSpec,
                      inverse_transform, check_competition_assumptions,
                      make_model, make_competition_spec)
 from .sim import (WindowGrid, SimState, StepperConfig, Trajectory, Stepper,
-                  FrontTracker, build_initial_front_like, run,
-                  write_binary, read_binary)
+                  build_initial_front_like, run, write_binary, read_binary)
 from .fronts import (FrontProfile, FitResult, ShiftResult, front_position,
                      measure_speed, extract_profile, fit_decay,
                      shift_distance, convergence_metric,

@@ -17,7 +17,6 @@ discretization allowance: sign conditions are checked, never assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .errors import CertificationError, PerifrontError
 from .eigen import principal_eig_coupled
+from .models import dependency_lattice
 
 __all__ = [
     "CandidateSolution",
@@ -769,18 +769,11 @@ def _row_variation(model, J1: np.ndarray, i: int, rho: float,
     """max over nodes and the samples-point lattice of the box
     [(1-rho), (1+rho)] of sum_k |J_ik(u) - J1_ik|.
 
-    Row i of the Jacobian reads only u_i and the components with a nonzero
-    b or Q entry in h_i (the couplings are constant), so the lattice spans
-    those alone, the others held at 1: the same maximum as the full
-    samples**m lattice."""
-    n = model.cell.n
-    deps = sorted({i} | model.h[i].reads)
+    The lattice spans row_reads(i) alone, the others held at 1."""
     pts = np.linspace(1.0 - rho, 1.0 + rho, samples)
-    corners = np.array(list(itertools.product(pts, repeat=len(deps))))
-    u = np.ones((model.m, len(corners) * n))
-    u[deps] = np.repeat(corners.T, n, axis=1)
-    Ji = model.jacobian_row(i, u, np.tile(np.arange(n), len(corners)))
-    tot = np.abs(Ji - np.tile(J1[i], len(corners))).sum(axis=0)
+    u, xidx = dependency_lattice(model.row_reads(i), pts, model.m,
+                                 model.cell.n, fill=1.0)
+    tot = np.abs(model.jacobian_row(i, u, xidx) - J1[i][:, xidx]).sum(axis=0)
     return float(tot.max())
 
 

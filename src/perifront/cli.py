@@ -270,14 +270,6 @@ def cmd_competition(args) -> int:
 
 
 def main(argv=None) -> int:
-    import os
-    threads = os.environ.get("PERIFRONT_THREADS")
-    if threads:
-        # cap the linear-algebra backends, the only internal parallelism
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="perifront",
         description="periodic-media front toolkit: spectral quantities, "

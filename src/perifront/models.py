@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PerifrontError
-from .grid import (CellGrid, OperatorSpec, PeriodicField, first_derivative,
-                   make_cell_grid)
+from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
+                   assemble_tilted_operator, first_derivative, make_cell_grid)
 from .eigen import principal_eig_scalar, principal_eig_coupled
 
 __all__ = [
@@ -40,6 +40,19 @@ __all__ = [
     "make_model",
     "make_competition_spec",
 ]
+
+
+def dependency_lattice(deps, pts, m: int, n: int, fill: float = 0.0):
+    """Every corner of the pts-lattice over the components deps, each
+    repeated over the n cell nodes, the other components held at fill.
+
+    Returns u: (m, len(pts)**len(deps) * n) and the matching xidx.  A
+    quantity that reads only the components deps takes over these columns
+    the same values as over the full len(pts)**m lattice."""
+    corners = np.array(list(itertools.product(pts, repeat=len(deps))))
+    u = np.full((m, len(corners) * n), fill)
+    u[deps] = np.repeat(corners.T, n, axis=1)
+    return u, np.tile(np.arange(n), len(corners))
 
 
 @dataclass(frozen=True)
@@ -108,8 +121,7 @@ class PolyH:
         interior samples are kept for symmetry with the generic checks.
         dh/du_k = b[k] + sum_l (Q[k, l] + Q[l, k]) u_l reads only the
         components l of a nonzero Q pair with k, so the lattice for k spans
-        those alone (the others contribute exact zeros): the same maximum
-        as the full samples**m lattice.
+        those alone.
         """
         m, n = self.b.shape
         pts = np.linspace(box_lo, box_hi, samples)
@@ -117,10 +129,7 @@ class PolyH:
         for k in range(m):
             deps = sorted({l for j, l in self._pairs if j == k}
                           | {j for j, l in self._pairs if l == k})
-            corners = np.array(list(itertools.product(pts, repeat=len(deps))))
-            u = np.zeros((m, len(corners) * n))
-            u[deps] = np.repeat(corners.T, n, axis=1)
-            xidx = np.tile(np.arange(n), len(corners))
+            u, xidx = dependency_lattice(deps, pts, m, n)
             best = max(best, float(np.max(np.abs(self.du(k, u, xidx)))))
         return best
 
@@ -195,31 +204,25 @@ class ReactionModel:
                     row[k] += a[xidx]
         return row
 
+    def row_reads(self, i: int) -> list:
+        """The components row i of the Jacobian reads: u_i and the
+        components with a nonzero b or Q entry in h_i (the couplings are
+        constant), ascending."""
+        return sorted({i} | self.h[i].reads)
+
     def reaction_lipschitz(self, samples: int = 5) -> float:
         """max |dF_i/du_i| over the box lattice; bounds the explicit step.
 
-        dF_i/du_i = h_i + u_i dh_i/du_i reads only u_i and the components
-        with a nonzero b or Q entry in h_i, so row i samples the lattice
-        over those alone (the other components contribute exact zeros):
-        the same maximum as the full samples**m lattice."""
+        dF_i/du_i = h_i + u_i dh_i/du_i, so row i samples the lattice over
+        row_reads(i) alone."""
         pts = np.linspace(0.0, 1.0, samples)
-        n = self.cell.n
         best = 0.0
         for i, hi in enumerate(self.h):
-            deps = sorted({i} | hi.reads)
-            corners = np.array(list(itertools.product(pts, repeat=len(deps))))
-            u = np.zeros((self.m, len(corners) * n))
-            u[deps] = np.repeat(corners.T, n, axis=1)
-            xidx = np.tile(np.arange(n), len(corners))
+            u, xidx = dependency_lattice(self.row_reads(i), pts, self.m,
+                                         self.cell.n)
             dii = u[i] * hi.du(i, u, xidx) + hi(u, xidx)
             best = max(best, float(np.max(np.abs(dii))))
         return best
-
-    def d_field(self, i: int) -> PeriodicField:
-        return PeriodicField(self.cell, self.d[i])
-
-    def q_field(self, i: int) -> PeriodicField:
-        return PeriodicField(self.cell, self.q[i])
 
 
 def evaluate_F(model: ReactionModel, x_index, u) -> np.ndarray:
@@ -278,12 +281,25 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _box_lattice(m: int, samples: int = 5, cap: int = 625):
+def _cooperativity(model: ReactionModel, samples: int = 5):
+    """min over i != k, the nodes and the [0, 1] lattice of J_ik(u), with
+    its witness (i, k, the lattice point u, node); row i samples the
+    lattice over row_reads(i) alone."""
     pts = np.linspace(0.0, 1.0, samples)
-    lattice = list(itertools.product(pts, repeat=m))
-    if len(lattice) > cap:
-        lattice = lattice[:: len(lattice) // cap + 1]
-    return np.asarray(lattice).T  # (m, npts)
+    n = model.cell.n
+    worst, wit = np.inf, None
+    for i in range(model.m):
+        u, xidx = dependency_lattice(model.row_reads(i), pts, model.m, n)
+        row = model.jacobian_row(i, u, xidx)
+        for k in range(model.m):
+            if k == i:
+                continue
+            col = int(np.argmin(row[k]))
+            if row[k, col] < worst:
+                worst = float(row[k, col])
+                wit = (i + 1, k + 1, tuple(np.round(u[:, col], 3)),
+                       int(xidx[col]))
+    return worst, wit
 
 
 def check_hypotheses(model: ReactionModel, e: int = 1,
@@ -330,20 +346,7 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
             "F(x, 1) = 0")
 
     # H3: cooperativity of the Jacobian on the box lattice
-    lattice = _box_lattice(m)
-    worst, wit = np.inf, None
-    for col in range(lattice.shape[1]):
-        u = np.repeat(lattice[:, col][:, None], n, axis=1)
-        J = model.jacobian(u, xidx)
-        for i in range(m):
-            for k in range(m):
-                if i == k:
-                    continue
-                val = float(J[i, k].min())
-                if val < worst:
-                    worst = val
-                    wit = (i + 1, k + 1, tuple(np.round(lattice[:, col], 3)),
-                           int(np.argmin(J[i, k])))
+    worst, wit = _cooperativity(model)
     rep.add("H3", "pass" if worst >= -1e-12 else "fail", worst,
             None if worst >= -1e-12 else wit,
             "off-diagonal Jacobian >= 0 on [0,1]^m lattice")
@@ -417,26 +420,38 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
     return rep
 
 
+def _cell_imex_step(cell: CellGrid, d: np.ndarray, q: np.ndarray,
+                    dt: float):
+    """The IMEX step on the periodic cell, step(u, Fu) = the rows
+    (I - dt A_i)^{-1} (u_i + dt Fu_i), with A_i the untilted transport
+    operator of (d_i, q_i) and each I - dt A_i factored once.
+
+    d, q: (m, n); u, Fu: (m, n)."""
+    factors = []
+    for di, qi in zip(d, q):
+        A = assemble_tilted_operator(OperatorSpec(
+            d=PeriodicField(cell, di), q=PeriodicField(cell, qi),
+            eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
+        factors.append(BandedMatrix(
+            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True).factor())
+
+    def step(u: np.ndarray, Fu: np.ndarray) -> np.ndarray:
+        new = np.empty_like(u)
+        for i, S in enumerate(factors):
+            new[i] = S.solve(u[i] + dt * Fu[i])
+        return new
+    return step
+
+
 def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02,
                    also_state: bool = False):
     """Integrate the model with periodic BCs on one cell (IMEX, coarse)."""
-    from .grid import BandedMatrix, assemble_tilted_operator
-
-    n = model.cell.n
-    xidx = np.arange(n)
-    u = np.full((model.m, n), float(u0)) if np.isscalar(u0) else np.array(u0)
-    solvers = []
-    for i in range(model.m):
-        A = assemble_tilted_operator(OperatorSpec(
-            d=model.d_field(i), q=model.q_field(i),
-            eta=PeriodicField(model.cell, np.zeros(n)), lam=0.0, e=1))
-        solvers.append(BandedMatrix(
-            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True).factor())
-    steps = int(round(T / dt))
-    for _ in range(steps):
-        Fu = model.F(u, xidx)
-        for i in range(model.m):
-            u[i] = solvers[i].solve(u[i] + dt * Fu[i])
+    xidx = np.arange(model.cell.n)
+    u = np.full((model.m, model.cell.n), float(u0)) if np.isscalar(u0) \
+        else np.array(u0)
+    step = _cell_imex_step(model.cell, model.d, model.q, dt)
+    for _ in range(int(round(T / dt))):
+        u = step(u, model.F(u, xidx))
     dist = float(np.max(np.abs(u - 1.0)))
     return (dist, u) if also_state else dist
 
@@ -481,8 +496,6 @@ class CompetitionSpec:
 def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
     """Positive periodic steady state of u_t = d u'' + a u' + u (b - aii u),
     by time stepping from the constant supersolution max(b)/min(aii)."""
-    from .grid import BandedMatrix, assemble_tilted_operator
-
     lam0 = principal_eig_scalar(OperatorSpec(
         d=PeriodicField(cell, d), q=PeriodicField(cell, a),
         eta=PeriodicField(cell, b), lam=0.0, e=1)).value
@@ -490,15 +503,10 @@ def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
         raise PerifrontError(
             f"lambda_0(d, a, b) = {lam0:.6g} <= 0: no positive steady state")
     dt = min(0.2, 0.2 / max(1.0, float(np.max(np.abs(b)))))
-    A = assemble_tilted_operator(OperatorSpec(
-        d=PeriodicField(cell, d), q=PeriodicField(cell, a),
-        eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
-    S = BandedMatrix(-dt * A.sub, 1.0 - dt * A.main, -dt * A.sup,
-                     True).factor()
-    u = np.full(cell.n, float(np.max(b) / np.min(aii)))
+    step = _cell_imex_step(cell, d[None], a[None], dt)
+    u = np.full((1, cell.n), float(np.max(b) / np.min(aii)))
     for _ in range(int(2e5)):
-        f = u * (b - aii * u)
-        u_new = S.solve(u + dt * f)
+        u_new = step(u, u * (b - aii * u))
         rate = float(np.max(np.abs(u_new - u))) / dt
         u = u_new
         if rate <= tol:
@@ -507,7 +515,7 @@ def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
         raise PerifrontError("steady state iteration did not settle")
     if u.min() <= 0.0:
         raise PerifrontError("steady state lost positivity")
-    return u
+    return u[0]
 
 
 def competition_steady_states(spec: CompetitionSpec, tol: float = 1e-10):

@@ -287,27 +287,21 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
 
 
 def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
-        T: float, observers=(), store_from: float = 0.0) -> Trajectory:
+        T: float, store_from: float = 0.0) -> Trajectory:
     """Integrate for time T, collecting snapshots at the configured cadence.
 
-    Observers are callables receiving every accepted state; snapshots are
-    stored only for t >= store_from (long runs can keep memory bounded
-    while observers still see everything).  Deterministic: fixed step
-    count, no adaptivity."""
+    Snapshots are stored only for t >= store_from (long runs can keep
+    memory bounded).  Deterministic: fixed step count, no adaptivity."""
     if T < 0.0:
         raise PerifrontError("T must be nonnegative")
     stepper = Stepper(model, window, cfg)
     traj = Trajectory(window)
     if state.t >= store_from:
         traj.append(state)
-    for obs in observers:
-        obs(state)
     nsteps = int(round(T / cfg.dt))
     snap_every = max(1, int(round(cfg.snapshot_dt / cfg.dt)))
     for istep in range(1, nsteps + 1):
         state = stepper.step(state)
-        for obs in observers:
-            obs(state)
         if (istep % snap_every == 0 or istep == nsteps) \
                 and state.t >= store_from:
             traj.append(state)
@@ -316,45 +310,3 @@ def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
                 f"front reached the guard band at t = {state.t:.4g}: "
                 "enlarge the window or shorten the run")
     return traj
-
-
-class FrontTracker:
-    """Observer recording the level-set position of one component."""
-
-    def __init__(self, window: WindowGrid, component: int = 0,
-                 level: float = 0.5, every: int = 25):
-        self.window = window
-        self.component = component
-        self.level = level
-        self.every = every
-        self._count = 0
-        self.times = []
-        self.positions = []
-
-    def __call__(self, state: SimState) -> None:
-        from .fronts import front_position
-        from .errors import FrontError as _FE
-        if self._count % self.every == 0:
-            try:
-                pos = front_position(state.u[self.component],
-                                     self.window.x, self.level)
-            except _FE:
-                pos = np.nan
-            self.times.append(state.t)
-            self.positions.append(pos)
-        self._count += 1
-
-    def speed(self, t_window):
-        t0, t1 = t_window
-        ts = np.asarray(self.times)
-        xs = np.asarray(self.positions)
-        keep = (ts >= t0) & (ts <= t1) & np.isfinite(xs)
-        if keep.sum() < 20:
-            raise FrontError("too few tracked positions in the window")
-        A = np.stack([ts[keep], np.ones(keep.sum())], axis=1)
-        coef, *_ = np.linalg.lstsq(A, xs[keep], rcond=None)
-        resid = xs[keep] - A @ coef
-        dof = max(keep.sum() - 2, 1)
-        var = float(resid @ resid) / dof / float(
-            ((ts[keep] - ts[keep].mean()) ** 2).sum())
-        return float(coef[0]), float(np.sqrt(max(var, 0.0)))

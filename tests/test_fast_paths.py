@@ -10,7 +10,10 @@ interpolation weight per shift where the loops recomputed it per column,
 so shift_distance and convergence_metric may differ by roundoff only.
 The factored cell operators (gttrf once, gttrs per solve) run the
 operations of the two-gtsv bordered solve in the same order, so every
-solve, eigenpair and relaxation must be bit-for-bit equal.
+solve, eigenpair and relaxation must be bit-for-bit equal.  The
+dependency lattices sample each Jacobian row over the components it
+reads, so they must give the full lattice's extrema exactly (and, for
+H3, the strided lattice's margin on the built-in models).
 """
 
 import dataclasses
@@ -630,7 +633,8 @@ def imex_matrix(A, dt):
 def untilted(model, i):
     n = model.cell.n
     return assemble_tilted_operator(OperatorSpec(
-        d=model.d_field(i), q=model.q_field(i),
+        d=PeriodicField(model.cell, model.d[i]),
+        q=PeriodicField(model.cell, model.q[i]),
         eta=PeriodicField(model.cell, np.zeros(n)), lam=0.0, e=1))
 
 
@@ -944,3 +948,72 @@ def test_compute_varrho_chain_m8_within_budget():
     # by 2 |1 - a| r = 0.4 r
     assert rho_star == rhos[0] == pytest.approx(0.1, rel=1e-12)
     assert rhos[1:] == pytest.approx([0.5] * 7, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# H3 cooperativity lattice
+
+
+def ref_cooperativity_strided(model, samples=5, cap=625):
+    """The replaced H3 loop: the full samples**m lattice, every k-th point
+    kept to stay under cap columns, one jacobian per column."""
+    n = model.cell.n
+    lattice = list(itertools.product(np.linspace(0.0, 1.0, samples),
+                                     repeat=model.m))
+    if len(lattice) > cap:
+        lattice = lattice[:: len(lattice) // cap + 1]
+    worst = np.inf
+    for point in lattice:
+        u = np.repeat(np.asarray(point)[:, None], n, axis=1)
+        J = model.jacobian(u, np.arange(n))
+        for i in range(model.m):
+            for k in range(model.m):
+                if i != k:
+                    worst = min(worst, float(J[i, k].min()))
+    return worst
+
+
+def ref_cooperativity_full(model, samples=5):
+    """min of the off-diagonal Jacobian over the full, unstrided lattice,
+    with the witness (i, k, lattice point, node)."""
+    n = model.cell.n
+    corners = np.array(list(itertools.product(np.linspace(0.0, 1.0, samples),
+                                              repeat=model.m)))
+    u = np.repeat(corners.T, n, axis=1)
+    xidx = np.tile(np.arange(n), len(corners))
+    J = model.jacobian(u, xidx)
+    off = ~np.eye(model.m, dtype=bool)
+    i, k = np.argwhere(off)[np.argmin(J[off].min(axis=1))]
+    col = int(np.argmin(J[i, k]))
+    return float(J[i, k, col]), (int(i) + 1, int(k) + 1,
+                                 tuple(np.round(u[:, col], 3)),
+                                 int(xidx[col]))
+
+
+def h3_builtin_models():
+    """constant2, periodic2, custom2, the three competition models in
+    cooperative form and chain-m at m = 3 to 6, on the 64-node cell."""
+    cell = make_cell_grid(1.0, 64)
+    return [m for m in builtin_models(cell) if m.name != "dense"] \
+        + [make_model("chain-m", cell, m=4)]
+
+
+@pytest.mark.parametrize("model", h3_builtin_models(),
+                         ids=lambda m: f"{m.name}-m{m.m}")
+def test_h3_margin_matches_strided_lattice(model):
+    assert models._cooperativity(model)[0] == \
+        ref_cooperativity_strided(model)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_h3_matches_full_lattice_on_dense_models(m):
+    model = seeded_dense_model(m=m, seed=21)
+    assert models._cooperativity(model) == ref_cooperativity_full(model)
+
+
+def test_h3_chain_m10_within_budget():
+    model = make_model("chain-m", m=10)
+    t0 = time.perf_counter()
+    worst, _ = models._cooperativity(model)
+    assert time.perf_counter() - t0 < 1.0
+    assert worst == 0.0      # J_{i,i-1} = a, every other off-diagonal 0

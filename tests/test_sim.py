@@ -13,6 +13,13 @@ def constant2():
     return make_model("constant2")
 
 
+def cut_front(model, win, c, **kw):
+    """build_initial_front_like on a window too short for the datum's
+    tail: the datum is cut on purpose, and the warning must say so."""
+    with pytest.warns(UserWarning, match="window may be too short"):
+        return build_initial_front_like(model, win, c, **kw)
+
+
 def heat_model(cell, m=2):
     """Decoupled components with zero reaction."""
     n = cell.n
@@ -85,14 +92,14 @@ class TestRun:
     def test_guard_aborts(self, constant2):
         win = WindowGrid(constant2.cell, 20)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, disp=disp)
+        st = cut_front(constant2, win, 2.5, disp=disp)
         with pytest.raises(FrontError, match="guard"):
             run(constant2, st, win, StepperConfig(dt=0.01), 12.0)
 
     def test_self_convergence_first_order(self, constant2):
         win = WindowGrid(constant2.cell, 30)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, disp=disp)
+        st = cut_front(constant2, win, 2.5, disp=disp)
         finals = {}
         for dt in (0.02, 0.01, 0.005):
             cfg = StepperConfig(dt=dt, snapshot_dt=1.0)
@@ -106,7 +113,7 @@ class TestRun:
         win = WindowGrid(constant2.cell, 40)
         n = constant2.cell.n
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, disp=disp)
+        st = cut_front(constant2, win, 2.5, disp=disp)
         cfg = StepperConfig(dt=0.01, snapshot_dt=1.0)
         a = run(constant2, st.copy(), win, cfg, 2.0).snapshots[-1]
         shifted = SimState(0.0, np.roll(st.u, n, axis=1))
@@ -122,7 +129,7 @@ class TestComparisonAndBox:
         rng = np.random.default_rng(11)
         win = WindowGrid(constant2.cell, 20)
         disp = Dispersion(constant2)
-        lo = build_initial_front_like(constant2, win, 2.5, k=0.5, disp=disp)
+        lo = cut_front(constant2, win, 2.5, k=0.5, disp=disp)
         hi = SimState(0.0, np.minimum(1.0, lo.u + 0.05
                                       * rng.uniform(0, 1, lo.u.shape)))
         hi.u[:, 0] = 1.0; hi.u[:, -1] = 0.0
@@ -136,7 +143,7 @@ class TestComparisonAndBox:
     def test_box_invariance(self, constant2):
         win = WindowGrid(constant2.cell, 20)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, disp=disp)
+        st = cut_front(constant2, win, 2.5, disp=disp)
         traj = run(constant2, st, win, StepperConfig(dt=0.01), 2.0)
         for u in traj.snapshots:
             assert u.min() >= -1e-8 and u.max() <= 1 + 1e-8
@@ -147,13 +154,13 @@ class TestInitialData:
         # a window reaching into x < 0 exposes the (1 - eps0) plateau
         win = WindowGrid(constant2.cell, 40, x_lo=-10.0)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, eps0=0.1, disp=disp)
+        st = cut_front(constant2, win, 2.5, eps0=0.1, disp=disp)
         assert st.u[:, 0] == pytest.approx(0.9, abs=1e-12)
 
     def test_exponential_tail(self, constant2):
         win = WindowGrid(constant2.cell, 40)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, k=1.0, disp=disp)
+        st = cut_front(constant2, win, 2.5, k=1.0, disp=disp)
         lam_c = disp.lambda_c(2.5)
         phi = disp.cascade(lam_c).as_array()
         j = np.argmin(np.abs(win.x - 20.0))
@@ -179,7 +186,7 @@ class TestSerialization:
     def test_binary_round_trip(self, constant2, tmp_path):
         win = WindowGrid(constant2.cell, 20)
         disp = Dispersion(constant2)
-        st = build_initial_front_like(constant2, win, 2.5, disp=disp)
+        st = cut_front(constant2, win, 2.5, disp=disp)
         traj = run(constant2, st, win, StepperConfig(dt=0.01, snapshot_dt=0.2),
                    1.0)
         path = tmp_path / "traj.pfrt"
