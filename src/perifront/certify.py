@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CertificationError, PerifrontError
 from .eigen import principal_eig_coupled
-from .models import dependency_lattice
+from .models import dependency_lattice, json_native
 
 __all__ = [
     "CandidateSolution",
@@ -84,7 +84,7 @@ class CertReport:
     def as_dict(self):
         return {
             "kind": self.kind,
-            "params": {k: (float(v) if np.isscalar(v) else repr(v))
+            "params": {k: (float(v) if np.isscalar(v) else json_native(v))
                        for k, v in self.params.items()},
             "margins": [float(v) for v in self.margins],
             "boundary": [{"name": b.name, "margin": float(b.margin)}
@@ -92,7 +92,7 @@ class CertReport:
             "allowance": float(self.allowance),
             "profile_defect": float(self.profile_defect),
             "verdict": "pass" if self.verdict else "fail",
-            "witness": repr(self.witness) if self.witness is not None else None,
+            "witness": json_native(self.witness),
         }
 
 

@@ -37,7 +37,15 @@ class SpectralGapError(PerifrontError):
 
 
 class FrontError(PerifrontError):
-    """Front diagnostics failed (no crossing, insufficient coverage, ...)."""
+    """Front diagnostics failed (no crossing, insufficient coverage, ...).
+
+    A run stopped at the guard band carries the window width in cells
+    that would hold it.
+    """
+
+    def __init__(self, msg, window_cells=None):
+        super().__init__(msg)
+        self.window_cells = window_cells
 
 
 class CertificationError(PerifrontError):

@@ -240,6 +240,16 @@ def evaluate_jacobian(model: ReactionModel, x_index, u) -> np.ndarray:
 # hypothesis reports
 
 
+def json_native(obj):
+    """obj with its tuples, lists and numpy arrays made nested lists and
+    its numpy scalars Python ints, floats and bools, for json.dump."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [json_native(v) for v in obj]
+    return obj
+
+
 @dataclass
 class HypothesisEntry:
     verdict: str               # "pass" | "fail" | "not-checkable"
@@ -249,7 +259,7 @@ class HypothesisEntry:
 
     def as_dict(self):
         return {"verdict": self.verdict, "margin": self.margin,
-                "witness": repr(self.witness) if self.witness is not None else None,
+                "witness": json_native(self.witness),
                 "note": self.note}
 
 

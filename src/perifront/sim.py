@@ -10,13 +10,23 @@ exercised by the test suite rather than assumed.
 
 Window edges are Dirichlet-clamped to the limiting states (1 on the
 upwind side, 0 downwind); runs abort when the tracked front reaches the
-guard band 10 cells from the downwind edge.
+guard band 10 cells from the downwind edge, naming the window width that
+would fit the run.
+
+A run given a CSV path streams each stored snapshot to a writer process,
+which formats the CSV while the run steps (in-process after the run where
+the fork start method is missing).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
+import multiprocessing
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +69,64 @@ def _write_rows(fh, values, prefix="", labels=None) -> None:
             template = "".join([prefix + label + fields
                                 for label in labels[j:j + CSV_BLOCK_ROWS]])
         fh.write(template % tuple(block.ravel().tolist()))
+
+
+def _write_snapshot_csv(path, x, m: int, snapshots) -> None:
+    """The snapshot CSV of the window nodes x for an iterable of (t, u)
+    with u of shape (m, len(x)); x is formatted once, t once per
+    snapshot."""
+    cols = ", ".join(f"u_{i + 1}" for i in range(m))
+    xs = ["%.17g, " % v for v in x.tolist()]
+    with open(path, "w") as fh:
+        fh.write(f"# t, x, {cols}\n")
+        for t, u in snapshots:
+            _write_rows(fh, u.T, "%.17g, " % t, xs)
+
+
+def _csv_writer(inbox, outbox, path, x, m: int) -> None:
+    """Writer process: formats the (t, u) received until None."""
+    outbox.close()
+    with inbox:
+        try:
+            _write_snapshot_csv(path, x, m, iter(inbox.recv, None))
+        except EOFError:        # the run failed and closed the pipe
+            sys.exit(1)
+        except OSError as exc:  # one stderr line, exit code 1
+            sys.exit(f"snapshot writer: {exc}")
+
+
+@contextlib.contextmanager
+def _snapshot_stream(path, x, m: int):
+    """Yield send((t, u)), which passes a snapshot to a forked writer
+    process that writes the CSV at path.  The writer is joined on exit;
+    on any failure the partial file is removed, and a writer that failed
+    raises OSError."""
+    ctx = multiprocessing.get_context("fork")
+    inbox, outbox = ctx.Pipe(duplex=False)
+    writer = ctx.Process(target=_csv_writer,
+                         args=(inbox, outbox, path, x, m))
+    try:
+        try:
+            writer.start()
+            inbox.close()
+            yield outbox.send
+            outbox.send(None)
+        except BrokenPipeError:
+            pass                # the writer died: its exit code says so
+        finally:
+            inbox.close()
+            outbox.close()
+            if writer.pid is not None:
+                writer.join()
+        code = writer.exitcode
+        writer.close()
+        if code != 0:
+            raise OSError(f"snapshot writer exited with code {code}: "
+                          f"{path} not written")
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 @dataclass(frozen=True)
@@ -142,13 +210,8 @@ class Trajectory:
         return self.snapshots[0].shape[0]
 
     def save_csv(self, path) -> None:
-        cols = ", ".join(f"u_{i + 1}" for i in range(self.m))
-        # x is formatted once per call, t once per snapshot
-        xs = ["%.17g, " % x for x in self.window.x.tolist()]
-        with open(path, "w") as fh:
-            fh.write(f"# t, x, {cols}\n")
-            for t, u in zip(self.times, self.snapshots):
-                _write_rows(fh, u.T, "%.17g, " % t, xs)
+        _write_snapshot_csv(path, self.window.x, self.m,
+                            zip(self.times, self.snapshots))
 
 
 def write_binary(traj: Trajectory, path) -> None:
@@ -287,26 +350,62 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
 
 
 def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
-        T: float, store_from: float = 0.0) -> Trajectory:
+        T: float, store_from: float = 0.0, csv_path=None) -> Trajectory:
     """Integrate for time T, collecting snapshots at the configured cadence.
 
     Snapshots are stored only for t >= store_from (long runs can keep
-    memory bounded).  Deterministic: fixed step count, no adaptivity."""
+    memory bounded).  With csv_path, the stored snapshots are also written
+    there as the trajectory CSV (Trajectory.save_csv's bytes); a failed
+    run leaves no file.  Deterministic: fixed step count, no adaptivity."""
     if T < 0.0:
         raise PerifrontError("T must be nonnegative")
     stepper = Stepper(model, window, cfg)
     traj = Trajectory(window)
-    if state.t >= store_from:
-        traj.append(state)
+    stream = (csv_path is not None
+              and "fork" in multiprocessing.get_all_start_methods())
+    sink = (_snapshot_stream(csv_path, window.x, state.u.shape[0])
+            if stream else contextlib.nullcontext())
     nsteps = int(round(T / cfg.dt))
     snap_every = max(1, int(round(cfg.snapshot_dt / cfg.dt)))
-    for istep in range(1, nsteps + 1):
-        state = stepper.step(state)
-        if (istep % snap_every == 0 or istep == nsteps) \
-                and state.t >= store_from:
-            traj.append(state)
-        if stepper.guard_triggered(state):
-            raise FrontError(
-                f"front reached the guard band at t = {state.t:.4g}: "
-                "enlarge the window or shorten the run")
+    start = state
+    with sink as send:
+        def store(st):
+            traj.append(st)
+            if send is not None:
+                send((st.t, st.u))
+
+        if state.t >= store_from:
+            store(state)
+        for istep in range(1, nsteps + 1):
+            state = stepper.step(state)
+            if (istep % snap_every == 0 or istep == nsteps) \
+                    and state.t >= store_from:
+                store(state)
+            if stepper.guard_triggered(state):
+                cells = _window_fitting(stepper, start, state, T)
+                raise FrontError(
+                    f"front reached the guard band at t = {state.t:.4g}: "
+                    f"enlarge the window to window_cells >= {cells} or "
+                    "shorten the run", window_cells=cells)
+    if csv_path is not None and not stream:
+        traj.save_csv(csv_path)
     return traj
+
+
+def _window_fitting(stepper, start: SimState, state: SimState,
+                    T: float) -> int:
+    """Window width in cells that holds the run to time T: the leading
+    guard-level crossing extrapolated linearly from start to state, with
+    half as much room again for the travel (a pulled front still speeds
+    up after its initial transient, so its mean speed so far is low),
+    plus the guard band."""
+    window, level = stepper.window, stepper.cfg.guard_level
+
+    def lead(u):
+        above = np.nonzero(u[0] > level)[0]
+        return window.x[above[-1]] if len(above) else window.x_lo
+
+    x0, x1 = lead(start.u), lead(state.u)
+    x_end = x1 + (x1 - x0) / (state.t - start.t) * (T - state.t)
+    travel = (x_end - window.x_lo) / window.cell.L
+    return math.ceil(1.5 * travel) + stepper.cfg.guard_cells

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,10 @@ class TestSubSupercritical:
         rep = residual_sign_check(model, bad)
         assert not rep.verdict
         assert rep.witness is not None
+        # the witness (component, t, x, residual) is plain JSON
+        text = json.dumps(rep.as_dict())
+        assert "np." not in text
+        assert json.loads(text)["witness"] == list(rep.witness)
 
     def test_monotone_in_s0(self, model, disp):
         # pushing s0 further left never flips a passing verdict

@@ -123,6 +123,7 @@ class TestSimulateAndFront:
         assert rc == 0
         res = read_json(out / "results.json")
         assert abs(res["c_est"] - 2.5) <= 0.02 * 2.5
+        assert res["fronts_skipped"] == 0
         header = first_line(out / "fronts.csv")
         assert header.startswith("# t, position, c_running")
 
@@ -143,6 +144,30 @@ class TestSimulateAndFront:
         assert np.allclose(data[::window.npts, 0], 0.4 * np.arange(nsnap),
                            rtol=0.0, atol=1e-9)
         assert data[:, 2:].min() >= -1e-8 and data[:, 2:].max() <= 1.0 + 1e-8
+
+    def test_snapshots_path_is_directory_exit_2(self, tmp_path):
+        out = tmp_path / "sim"
+        (out / "snapshots.csv").mkdir(parents=True)
+        rc = main(["simulate", "--model", "constant2", "--c", "2.5",
+                   "--T", "2", "--window-cells", "60", "--out", str(out)])
+        assert rc == 2
+        assert not (out / "results.json").exists()
+
+    def test_fronts_skipped_counts_snapshots_without_crossing(self,
+                                                               tmp_path):
+        # the datum tops out at 1 - eps0 = 0.9, so the t = 0 snapshot has
+        # no crossing of 0.95; from the first step the clamp u = 1 at
+        # the left edge gives one
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--model", "constant2", "--c", "2.5",
+                   "--T", "8", "--window-cells", "60", "--level", "0.95",
+                   "--out", str(out)])
+        assert rc in (0, 1)
+        res = read_json(out / "results.json")
+        assert res["fronts_skipped"] == 1
+        rows = np.loadtxt(out / "fronts.csv", delimiter=",", ndmin=2)
+        assert len(rows) == 8 / 0.25 + 1 - 1
+        assert rows[0, 0] == pytest.approx(0.25)
 
     def test_front_fit(self, tmp_path):
         out = tmp_path / "front"

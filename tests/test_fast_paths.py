@@ -4,8 +4,8 @@ The reaction on window-gathered coefficients with the sparse linear and
 quadratic terms keeps the arithmetic of the gather-per-call dense einsum,
 so F must be bit-for-bit equal.  The grouped multi-right-hand-side solves
 run the per-component solves' arithmetic, so a step must be bit-for-bit
-equal too, and the block-formatted CSV writers must write the same bytes
-as the per-value f-strings.  The one-stencil profile shifts take one
+equal too, and the block-formatted CSV writers (run's writer process
+among them) must write the same bytes as the per-value f-strings.  The one-stencil profile shifts take one
 interpolation weight per shift where the loops recomputed it per column,
 so shift_distance and convergence_metric may differ by roundoff only.
 The factored cell operators (gttrf once, gttrs per solve) run the
@@ -19,6 +19,7 @@ H3, the strided lattice's margin on the built-in models).
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -487,6 +488,33 @@ def test_save_csv_bytes_match(tmp_path, monkeypatch, block, nsnap):
     ref_save_csv(traj, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("writer", [True, False],
+                         ids=["writer-process", "in-process"])
+@pytest.mark.parametrize("T, store_from", [(1.0, 0.0), (1.05, 0.5)])
+def test_run_csv_bytes_match(tmp_path, monkeypatch, writer, T, store_from):
+    """run(csv_path=) writes save_csv's bytes, through the writer process
+    and through the in-process fallback; T = 1.05 ends off the 0.2
+    cadence, so the last step is stored too."""
+    monkeypatch.setattr(sim, "CSV_BLOCK_ROWS", 7)
+    if not writer:
+        monkeypatch.setattr(sim.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+    model = make_model("chain-m", make_cell_grid(1.0, 16), m=3)
+    window = WindowGrid(model.cell, 20, x_lo=-4.0)
+    u0 = 0.5 * (1.0 - np.tanh(window.x - 2.0))
+    state = SimState(0.0, np.stack([u0, 0.9 * u0, 0.8 * u0]))
+    path = tmp_path / "snapshots.csv"
+    traj = sim.run(model, state, window,
+                   StepperConfig(dt=0.01, snapshot_dt=0.2), T,
+                   store_from=store_from, csv_path=path)
+    want = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.05]
+    want = [t for t in want if t <= T and t >= store_from]
+    assert np.allclose(traj.times, want, rtol=0.0, atol=1e-9)
+    ref_save_csv(traj, tmp_path / "ref.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("block", [7, sim.CSV_BLOCK_ROWS])

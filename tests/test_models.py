@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,14 @@ class TestHypotheses:
         rep = check_hypotheses(bad, run_h5_heuristic=False)
         assert rep["H3"].verdict == "fail"
         assert rep["H3"].witness is not None
+        # the witness (i, k, lattice point, node) is plain JSON
+        text = json.dumps(rep.as_dict())
+        assert "np." not in text
+        h3 = json.loads(text)["H3"]["witness"]
+        assert h3 == rep.as_dict()["H3"]["witness"]
+        i, k, u, node = h3
+        assert isinstance(u, list) and all(type(v) is float for v in u)
+        assert (type(i), type(k), type(node)) == (int, int, int)
 
     def test_h4_failure_margin(self):
         cell = make_cell_grid(1.0, 64)

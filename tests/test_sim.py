@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -89,12 +91,25 @@ class TestRun:
         traj = run(constant2, st, win, StepperConfig(), 0.0)
         assert len(traj.times) == 1
 
-    def test_guard_aborts(self, constant2):
+    def test_guard_aborts(self, constant2, tmp_path):
         win = WindowGrid(constant2.cell, 20)
         disp = Dispersion(constant2)
         st = cut_front(constant2, win, 2.5, disp=disp)
-        with pytest.raises(FrontError, match="guard"):
-            run(constant2, st, win, StepperConfig(dt=0.01), 12.0)
+        path = tmp_path / "snapshots.csv"
+        with pytest.raises(FrontError, match="guard") as err:
+            run(constant2, st, win, StepperConfig(dt=0.01), 12.0,
+                csv_path=path)
+        assert not path.exists()
+        assert multiprocessing.active_children() == []
+        # the error names a window that holds the run
+        cells = err.value.window_cells
+        assert f"window_cells >= {cells}" in str(err.value)
+        win = WindowGrid(constant2.cell, cells)
+        st = cut_front(constant2, win, 2.5, disp=disp)
+        traj = run(constant2, st, win, StepperConfig(dt=0.01), 12.0,
+                   csv_path=path)
+        assert traj.times[-1] == pytest.approx(12.0)
+        assert path.exists()
 
     def test_self_convergence_first_order(self, constant2):
         win = WindowGrid(constant2.cell, 30)
@@ -122,6 +137,42 @@ class TestRun:
         # the clamp layers sit one cell apart; leave them room to diffuse
         j = np.arange(16 * n, win.npts - 13 * n)
         assert np.max(np.abs(a[:, j] - b[:, j + n])) <= 1e-10
+
+
+class TestCsvStream:
+    def state(self, model, win):
+        u0 = 0.5 * (1.0 - np.tanh(win.x - 3.0))
+        return SimState(0.0, np.stack([u0, u0]))
+
+    def test_failed_step_leaves_no_file(self, constant2, tmp_path,
+                                        monkeypatch):
+        # a box-invariance failure part way through the run
+        step, calls = Stepper.step, []
+
+        def failing(self, state):
+            calls.append(state.t)
+            if len(calls) == 30:
+                raise PerifrontError("box invariance violated")
+            return step(self, state)
+
+        monkeypatch.setattr(Stepper, "step", failing)
+        win = WindowGrid(constant2.cell, 20)
+        path = tmp_path / "snapshots.csv"
+        with pytest.raises(PerifrontError, match="box invariance"):
+            run(constant2, self.state(constant2, win), win,
+                StepperConfig(dt=0.01, snapshot_dt=0.1), 1.0, csv_path=path)
+        assert not path.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_directory_raises_oserror(self, constant2, tmp_path):
+        win = WindowGrid(constant2.cell, 20)
+        path = tmp_path / "snapshots.csv"
+        path.mkdir()
+        with pytest.raises(OSError, match="snapshot writer"):
+            run(constant2, self.state(constant2, win), win,
+                StepperConfig(dt=0.01, snapshot_dt=0.1), 1.0, csv_path=path)
+        assert path.is_dir()
+        assert multiprocessing.active_children() == []
 
 
 class TestComparisonAndBox:
