@@ -105,21 +105,19 @@ def _snapshot_stream(path, x, m: int):
     inbox, outbox = ctx.Pipe(duplex=False)
     writer = ctx.Process(target=_csv_writer,
                          args=(inbox, outbox, path, x, m))
+    writer.start()
+    inbox.close()
     try:
         try:
-            writer.start()
-            inbox.close()
             yield outbox.send
             outbox.send(None)
         except BrokenPipeError:
             pass                # the writer died: its exit code says so
         finally:
-            inbox.close()
             outbox.close()
-            if writer.pid is not None:
-                writer.join()
-        code = writer.exitcode
-        writer.close()
+            writer.join()
+            code = writer.exitcode
+            writer.close()
         if code != 0:
             raise OSError(f"snapshot writer exited with code {code}: "
                           f"{path} not written")

@@ -166,7 +166,7 @@ class TestSimulateAndFront:
         res = read_json(out / "results.json")
         assert res["fronts_skipped"] == 1
         rows = np.loadtxt(out / "fronts.csv", delimiter=",", ndmin=2)
-        assert len(rows) == 8 / 0.25 + 1 - 1
+        assert len(rows) == 32           # 33 snapshots, t = 0 skipped
         assert rows[0, 0] == pytest.approx(0.25)
 
     def test_front_fit(self, tmp_path):

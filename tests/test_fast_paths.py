@@ -5,9 +5,10 @@ quadratic terms keeps the arithmetic of the gather-per-call dense einsum,
 so F must be bit-for-bit equal.  The grouped multi-right-hand-side solves
 run the per-component solves' arithmetic, so a step must be bit-for-bit
 equal too, and the block-formatted CSV writers (run's writer process
-among them) must write the same bytes as the per-value f-strings.  The one-stencil profile shifts take one
-interpolation weight per shift where the loops recomputed it per column,
-so shift_distance and convergence_metric may differ by roundoff only.
+among them) must write the same bytes as the per-value f-strings.  The
+one-stencil profile shifts take one interpolation weight per shift where
+the loops recomputed it per column, so shift_distance and
+convergence_metric may differ by roundoff only.
 The factored cell operators (gttrf once, gttrs per solve) run the
 operations of the two-gtsv bordered solve in the same order, so every
 solve, eigenpair and relaxation must be bit-for-bit equal.  The

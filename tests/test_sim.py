@@ -139,19 +139,19 @@ class TestRun:
         assert np.max(np.abs(a[:, j] - b[:, j + n])) <= 1e-10
 
 
-class TestCsvStream:
-    def state(self, model, win):
-        u0 = 0.5 * (1.0 - np.tanh(win.x - 3.0))
-        return SimState(0.0, np.stack([u0, u0]))
+def smooth_step(win):
+    u0 = 0.5 * (1.0 - np.tanh(win.x - 3.0))
+    return SimState(0.0, np.stack([u0, u0]))
 
+
+class TestCsvStream:
     def test_failed_step_leaves_no_file(self, constant2, tmp_path,
                                         monkeypatch):
         # a box-invariance failure part way through the run
-        step, calls = Stepper.step, []
+        step = Stepper.step
 
         def failing(self, state):
-            calls.append(state.t)
-            if len(calls) == 30:
+            if state.t > 0.295:
                 raise PerifrontError("box invariance violated")
             return step(self, state)
 
@@ -159,7 +159,7 @@ class TestCsvStream:
         win = WindowGrid(constant2.cell, 20)
         path = tmp_path / "snapshots.csv"
         with pytest.raises(PerifrontError, match="box invariance"):
-            run(constant2, self.state(constant2, win), win,
+            run(constant2, smooth_step(win), win,
                 StepperConfig(dt=0.01, snapshot_dt=0.1), 1.0, csv_path=path)
         assert not path.exists()
         assert multiprocessing.active_children() == []
@@ -169,7 +169,7 @@ class TestCsvStream:
         path = tmp_path / "snapshots.csv"
         path.mkdir()
         with pytest.raises(OSError, match="snapshot writer"):
-            run(constant2, self.state(constant2, win), win,
+            run(constant2, smooth_step(win), win,
                 StepperConfig(dt=0.01, snapshot_dt=0.1), 1.0, csv_path=path)
         assert path.is_dir()
         assert multiprocessing.active_children() == []
