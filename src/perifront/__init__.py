@@ -12,12 +12,12 @@ from .dispersion import (Dispersion, VectorEigenfunction,
                          golden_section_min, boundary_speeds_A6)
 from .models import (PolyH, ReactionModel, CompetitionSpec,
                      TransformedCompetition, HypothesisReport,
-                     evaluate_F, evaluate_jacobian, check_hypotheses,
-                     competition_steady_states, competition_to_cooperative,
-                     inverse_transform, check_competition_assumptions,
-                     make_model, make_competition_spec)
+                     check_hypotheses, competition_steady_states,
+                     competition_to_cooperative, inverse_transform,
+                     check_competition_assumptions, make_model,
+                     make_competition_spec)
 from .sim import (WindowGrid, SimState, StepperConfig, Trajectory, Stepper,
-                  build_initial_front_like, run, write_binary, read_binary)
+                  build_initial_front_like, run)
 from .fronts import (FrontProfile, FitResult, ShiftResult, front_position,
                      measure_speed, extract_profile, fit_decay,
                      shift_distance, convergence_metric,

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import CertificationError, PerifrontError
 from .eigen import principal_eig_coupled
-from .models import dependency_lattice, json_native
+from .dispersion import bisect
+from .models import _h7_scan, dependency_lattice, json_native
 
 __all__ = [
     "CandidateSolution",
@@ -110,8 +111,21 @@ def _gamma0(model, box: float) -> float:
     return max(h.max_abs_du(-box, box) for h in model.h)
 
 
-def _periodic_index(x: np.ndarray, cell) -> np.ndarray:
-    return np.rint(x / cell.h).astype(int) % cell.n
+def _nodes(x, cell) -> tuple:
+    """x as a 1-D float array, and the cell node index of each entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return x, np.rint(x / cell.h).astype(int) % cell.n
+
+
+def _halve_eps(eps: float, sigma, ok, steps: int, message: str) -> tuple:
+    """The first of eps, eps/2, ... (steps values) with ok(eps, sigma(eps)),
+    as (eps, sigma(eps)); CertificationError(message) when none passes."""
+    for _ in range(steps):
+        sig = sigma(eps)
+        if ok(eps, sig):
+            return eps, sig
+        eps *= 0.5
+    raise CertificationError(message)
 
 
 def smoothstep_cutoff(s_lo: float, s_hi: float, with_prime: bool = False):
@@ -156,14 +170,10 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
         raise CertificationError("supercritical construction needs c > c_+0")
     lam_c = disp.lambda_c(c)
 
-    eps = disp.epsilon_rule(c)
-    for _ in range(20):
-        sigma_eps = disp.kappa(0, lam_c + eps) - c * (lam_c + eps)
-        if sigma_eps < 0.0:
-            break
-        eps *= 0.5
-    else:
-        raise CertificationError("could not find eps with sigma_eps < 0")
+    eps, sigma_eps = _halve_eps(
+        disp.epsilon_rule(c),
+        lambda e: disp.kappa(0, lam_c + e) - c * (lam_c + e),
+        lambda e, sig: sig < 0.0, 20, "could not find eps with sigma_eps < 0")
 
     phi_c = disp.cascade(lam_c)
     phi_e = disp.cascade(lam_c + eps)
@@ -191,8 +201,7 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
     cell = model.cell
 
     def evaluator(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         s = c * t - x
         out = np.empty((model.m, len(x)))
         grow = np.exp(lam_c * s)
@@ -233,23 +242,21 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
 # critical subsolution
 
 
-def _pick_eps_star(disp, cap: float | None = None) -> tuple:
+def _pick_eps_star(disp) -> tuple:
     """Largest eps* of the form lam*/2**k with a positive curve gap at
     lam* + eps* and a negative sigma* = c*(lam*+eps*) - kappa_1(lam*+eps*)."""
     c0, lam0 = disp.critical_speed()
-    eps = lam0 / 4.0
-    if cap is not None:
-        eps = min(eps, cap)
-    for _ in range(30):
+
+    def admissible(eps, sigma):
         try:
             gap_ok = disp.spectral_gap(lam0 + eps) > 0.0
         except PerifrontError:
             gap_ok = False
-        sigma = c0 * (lam0 + eps) - disp.kappa(0, lam0 + eps)
-        if gap_ok and sigma < 0.0:
-            return eps, sigma
-        eps *= 0.5
-    raise CertificationError("no admissible eps* found")
+        return gap_ok and sigma < 0.0
+
+    return _halve_eps(
+        lam0 / 4.0, lambda e: c0 * (lam0 + e) - disp.kappa(0, lam0 + e),
+        admissible, 30, "no admissible eps* found")
 
 
 def build_sub_critical(model, disp, delta1: float, delta2: float) -> CandidateSolution:
@@ -302,8 +309,7 @@ def build_sub_critical(model, disp, delta1: float, delta2: float) -> CandidateSo
             - arr_d[i, idx] + n0_i * np.exp(eps_s * s) * arr_e[i, idx])
 
     def evaluator(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         s = c0 * t - x
         return np.stack([component(i, s, idx) for i in range(model.m)])
 
@@ -343,7 +349,7 @@ def build_super_linearized(model, disp, c: float, k: float) -> CandidateSolution
     cell = model.cell
 
     # the KPP-type property along this mode, with its measured margin
-    margin = _h7_margin_along(model, arr, lam_c)
+    margin, _ = _h7_scan(model, arr, lam_c, 80)
     if margin < -1e-10:
         raise CertificationError(
             f"h_i(x, w_c) <= h_i(x, 0) fails along the mode (margin {margin:.3e})")
@@ -351,8 +357,7 @@ def build_super_linearized(model, disp, c: float, k: float) -> CandidateSolution
     s_sat = -math.log(k * float(arr.max())) / lam_c
 
     def evaluator(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         s = c * t - x
         w = k * np.exp(lam_c * s)[None, :] * arr[:, idx]
         return np.minimum(w, 1.0)
@@ -364,21 +369,6 @@ def build_super_linearized(model, disp, c: float, k: float) -> CandidateSolution
         evaluator=evaluator,
         scale=lambda s: np.minimum(k * np.exp(lam_c * np.asarray(s)), 1.0),
         constraints=[BoundaryCheck("kpp_along_mode", margin)])
-
-
-def _h7_margin_along(model, arr, lam):
-    n = model.cell.n
-    xidx = np.arange(n)
-    zero = np.zeros((model.m, n))
-    h0 = np.stack([model.h[i](zero, xidx) for i in range(model.m)])
-    worst = np.inf
-    norm = float(arr.sum(axis=0).max())
-    s_hi = -math.log(norm) / lam
-    for s in np.linspace(s_hi - 20.0, s_hi, 80):
-        w = np.exp(lam * s) * arr
-        hw = np.stack([model.h[i](w, xidx) for i in range(model.m)])
-        worst = min(worst, float((h0 - hw).min()))
-    return worst
 
 
 def build_super_linearized_critical(model, disp, k: float, n_param: float,
@@ -396,7 +386,7 @@ def build_super_linearized_critical(model, disp, k: float, n_param: float,
     s0 = s_star if s_ceiling is None else min(s_ceiling, s_star)
     k_star = math.exp(-2.0 * lam0 * s0) / ((2.0 * abs(s0) + n_param) * m_s - M_d)
 
-    margin = _h7_margin_along(model, phi_s.as_array(), lam0)
+    margin, _ = _h7_scan(model, phi_s.as_array(), lam0, 80)
     if margin < -1e-10:
         raise CertificationError(
             f"h_i(x, w_c) <= h_i(x, 0) fails along the critical mode "
@@ -407,8 +397,7 @@ def build_super_linearized_critical(model, disp, k: float, n_param: float,
     cell = model.cell
 
     def raw(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         s = c0 * t - x
         core = ((np.abs(s) + n_param)[None, :] * arr_s[:, idx] - arr_d[:, idx])
         return k * np.exp(lam0 * s)[None, :] * core
@@ -473,24 +462,22 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         raise CertificationError(f"delta must lie in (0, {delta_m:.4g}]")
 
     if critical:
-        eps, sig = _pick_eps_star(disp, cap=None)
-        for _ in range(30):
-            if abs(sig) <= abs(mu) / 2.0:
-                break
-            eps *= 0.5
-            sig = c0 * (lam0 + eps) - disp.kappa(0, lam0 + eps)
+        eps, sig = _halve_eps(
+            _pick_eps_star(disp)[0],
+            lambda e: c0 * (lam0 + e) - disp.kappa(0, lam0 + e),
+            lambda e, sig: abs(sig) <= abs(mu) / 2.0, 30,
+            f"no eps with |sigma*| <= |mu-|/2 (mu- = {mu:.3g})")
         beta = abs(sig)
         lam_c = lam0
         arr_s = disp.cascade(lam0).as_array()
         arr_e = disp.cascade(lam0 + eps).as_array()
     else:
         lam_c = disp.lambda_c(c)
-        eps = disp.epsilon_rule(c)
-        for _ in range(30):
-            sig = disp.kappa(0, lam_c + eps) - c * (lam_c + eps)
-            if sig < 0.0 and abs(sig) <= abs(mu):
-                break
-            eps *= 0.5
+        eps, sig = _halve_eps(
+            disp.epsilon_rule(c),
+            lambda e: disp.kappa(0, lam_c + e) - c * (lam_c + e),
+            lambda e, sig: sig < 0.0 and abs(sig) <= abs(mu), 30,
+            f"no eps with -|mu-| <= sigma_eps < 0 (mu- = {mu:.3g})")
         beta = abs(sig) / 2.0
         arr_e = disp.cascade(lam_c + eps).as_array()
         arr_s = None
@@ -553,8 +540,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         return c * t - x + s0 + sgn * sigma * (1.0 - np.exp(-beta * t))
 
     def evaluator(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         sh = shifted_s(t, x)
         base = profile.eval(idx, sh, clamp=True)
         corr = delta * xi(idx, sh + z0) * math.exp(-beta * t)
@@ -563,8 +549,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
     def dudt(t, x):
         # co-moving identity: the time derivative rides on dU/ds, with the
         # wide-stencil slope so bin roughness does not leak in
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         sh = shifted_s(t, x)
         rate = c + sgn * sigma * beta * math.exp(-beta * t)
         ebt = math.exp(-beta * t)
@@ -575,13 +560,11 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
 
     def bare(t, x):
         # static profile, no shift: measures the profile's own PDE defect
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         return profile.eval(idx, c * t - x + s0, clamp=True)
 
     def bare_dudt(t, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = _periodic_index(x, cell)
+        x, idx = _nodes(x, cell)
         return c * profile.ds(idx, c * t - x + s0, span=4)
 
     # informational delta_c estimate from the profile's interior slope
@@ -707,7 +690,7 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
             j0 = math.floor(x_lo / h) - 1
             j1 = math.ceil(x_hi / h) + 1
             x = np.arange(j0, j1 + 1) * h
-            idx = _periodic_index(x, cell)
+            x, idx = _nodes(x, cell)
             u = evaluator(t, x)
             if dudt_eval is not None:
                 dudt = dudt_eval(t, x)
@@ -801,12 +784,6 @@ def compute_varrho(model, mu_minus: float, psi: np.ndarray,
         if variation(i, 1.0) <= bound:
             rhos.append(1.0)
             continue
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if variation(i, mid) <= bound:
-                lo = mid
-            else:
-                hi = mid
-        rhos.append(lo)
+        rhos.append(bisect(lambda rho: variation(i, rho) <= bound,
+                           0.0, 1.0, 60)[0])
     return rhos, min(1.0, min(rhos))

@@ -62,6 +62,9 @@ DEFAULTS = {
 # leaves most s-bins of every cell row empty.
 FRONT_DEFAULTS = {"snapshot_dt": 0.03}
 
+SIMULATE_OUTPUTS = ("snapshots.csv", "fronts.csv", "results.json",
+                    "resolved-config.json")
+
 COMPETITION_NAMES = ("competition-const", "competition-strong",
                      "competition-periodic")
 
@@ -143,36 +146,44 @@ def cmd_dispersion(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     outdir = Path(cfg["out"])
-    model, _ = _build_model(cfg)
-    disp = Dispersion(model)
-    window = WindowGrid(model.cell, int(cfg["window_cells"]))
-    stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
-    state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
-                                     cfg["eps0"], disp=disp)
-    outdir.mkdir(parents=True, exist_ok=True)
-    traj = run(model, state, window, stepcfg, cfg["T"],
-               csv_path=outdir / "snapshots.csv")
-    rows = []
-    prev = None
-    skipped = 0
-    for t, u in zip(traj.times, traj.snapshots):
-        try:
-            pos = front_position(u[0], window.x, cfg["level"])
-        except PerifrontError:
-            skipped += 1         # no level crossing: no fronts.csv row
-            continue
-        c_run = (pos - prev[1]) / (t - prev[0]) if prev else float("nan")
-        rows.append((t, pos, c_run))
-        prev = (t, pos)
-    _write_csv(outdir / "fronts.csv", "t, position, c_running", rows)
-    c_est, stderr = measure_speed(traj, 0, cfg["level"],
-                                  (0.3 * cfg["T"], cfg["T"]))
-    c0, _ = disp.critical_speed()
-    target = max(cfg["c"], c0)
-    ok = abs(c_est - target) <= TOLERANCES["speed_rel"] * target
-    results = {"c_est": c_est, "c_stderr": stderr, "c_expected": target,
-               "fronts_skipped": skipped}
-    return _emit(outdir, cfg, results, ok)
+    try:
+        model, _ = _build_model(cfg)
+        disp = Dispersion(model)
+        window = WindowGrid(model.cell, int(cfg["window_cells"]))
+        stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
+        state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
+                                         cfg["eps0"], disp=disp)
+        outdir.mkdir(parents=True, exist_ok=True)
+        traj = run(model, state, window, stepcfg, cfg["T"],
+                   csv_path=outdir / "snapshots.csv")
+        c_est, stderr = measure_speed(traj, 0, cfg["level"],
+                                      (0.3 * cfg["T"], cfg["T"]))
+        rows = []
+        prev = None
+        skipped = 0
+        for t, u in zip(traj.times, traj.snapshots):
+            try:
+                pos = front_position(u[0], window.x, cfg["level"])
+            except PerifrontError:
+                skipped += 1         # no level crossing: no fronts.csv row
+                continue
+            c_run = (pos - prev[1]) / (t - prev[0]) if prev else float("nan")
+            rows.append((t, pos, c_run))
+            prev = (t, pos)
+        _write_csv(outdir / "fronts.csv", "t, position, c_running", rows)
+        c0, _ = disp.critical_speed()
+        target = max(cfg["c"], c0)
+        ok = abs(c_est - target) <= TOLERANCES["speed_rel"] * target
+        results = {"c_est": c_est, "c_stderr": stderr, "c_expected": target,
+                   "fronts_skipped": skipped}
+        return _emit(outdir, cfg, results, ok)
+    except BaseException:
+        # a failed run leaves no outputs in outdir, neither its own
+        # nor an earlier run's
+        for name in SIMULATE_OUTPUTS:
+            if (outdir / name).is_file():
+                (outdir / name).unlink()
+        raise
 
 
 def cmd_front(args) -> int:

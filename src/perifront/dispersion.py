@@ -32,6 +32,7 @@ __all__ = [
     "Dispersion",
     "golden_section_min",
     "bracket_and_minimize",
+    "bisect",
     "boundary_speeds_A6",
 ]
 
@@ -73,6 +74,22 @@ def bracket_and_minimize(ratio, tol: float, error: str):
     return golden_section_min(ratio, LAMBDA_MIN, 2.0 * hi, tol=tol)
 
 
+def bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
+    """Bisection of [lo, hi] for the point where the predicate below turns
+    false: the midpoint replaces lo where below(mid) holds and hi
+    otherwise, for at most steps halvings and until hi - lo <=
+    rtol * max(1, hi).  Returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * max(1.0, hi):
+            break
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class VectorEigenfunction:
     lam: float
@@ -91,9 +108,6 @@ class VectorEigenfunction:
         """max over x of sum_i phi_i(x) (the vector sup norm used in the
         subsolution parameter recipes)."""
         return float(np.max(self.as_array().sum(axis=0)))
-
-    def max_component(self) -> float:
-        return float(self.as_array().max())
 
     def min_component(self) -> float:
         return float(self.as_array().min())
@@ -196,14 +210,7 @@ class Dispersion:
         g = lambda lam: lam * self.kappa1_prime(lam, 1e-3) - self.kappa(0, lam)
         a, b = max(LAMBDA_MIN, lam0 - 1e-2), lam0 + 1e-2
         if g(a) < 0.0 < g(b):
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if g(mid) < 0.0:
-                    a = mid
-                else:
-                    b = mid
-                if b - a <= 1e-12 * max(1.0, b):
-                    break
+            a, b = bisect(lambda lam: g(lam) < 0.0, a, b, 80, 1e-12)
             lam0 = 0.5 * (a + b)
         self._crit = (ratio(lam0), lam0)
         return self._crit
@@ -218,16 +225,8 @@ class Dispersion:
         if abs(c - c0) <= 1e-10:
             return lam0
         g = lambda lam: self.kappa(0, lam) - c * lam
-        lo, hi = 1e-12, lam0
         # g(0+) = kappa_1(0) > 0, g(lam0) = lam0 (c0 - c) < 0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
+        lo, hi = bisect(lambda lam: g(lam) > 0.0, 1e-12, lam0, 200, 1e-13)
         return 0.5 * (lo + hi)
 
     def kappa1_prime(self, lam: float, dlam: float | None = None) -> float:
@@ -335,14 +334,6 @@ class Dispersion:
         kap = np.array([[self.kappa(i, l) for l in lams]
                         for i in range(self.model.m)])
         return {"lambda": lams, "kappa": kap}
-
-    def convexity_defect(self, lams) -> float:
-        """Most negative second difference of sampled kappa_1 (should be
-        >= -1e-6 * scale on smooth media)."""
-        lams = np.asarray(lams, dtype=float)
-        k = np.array([self.kappa(0, l) for l in lams])
-        d2 = k[2:] - 2 * k[1:-1] + k[:-2]
-        return float(d2.min())
 
 
 def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s, e: int = 1):

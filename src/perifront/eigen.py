@@ -42,10 +42,6 @@ class EigenPair:
         if self.vector.min() <= 0.0:
             raise ConvergenceError("principal eigenvector is not positive")
 
-    def as_json(self) -> dict:
-        return {"value": self.value, "residual": self.residual,
-                "n": self.vector.grid.n, "normalization": "mean-one"}
-
 
 @dataclass(frozen=True)
 class CoupledEigenPair:
@@ -54,9 +50,27 @@ class CoupledEigenPair:
     residual: float
     iterations: int
 
-    def as_json(self) -> dict:
-        return {"value": self.value, "residual": self.residual,
-                "n": self.vectors[0].grid.n, "normalization": "max-one"}
+
+def _inverse_power(solve, matvec, norm, sigma, v, est, tol):
+    """Shifted inverse power iteration with solve = (sigma I - A)^-1 and
+    matvec = A, from the start vector v and value estimate est; each
+    iterate is divided by norm(iterate).  Returns (value, vector,
+    residual, iterations) once the value moves by at most
+    tol * max(1, |value|) and ||A v - value v||_inf is within the same."""
+    for it in range(1, MAX_ITER + 1):
+        w = solve(v)
+        nu = norm(w)           # Perron value of (sigma*I - A)^-1 at convergence
+        w = w / nu
+        value = sigma - 1.0 / nu
+        resid = float(np.max(np.abs(matvec(w) - value * w)))
+        bound = tol * max(1.0, abs(value))
+        done = abs(value - est) <= bound and resid <= bound
+        v, est = w, value
+        if done:
+            return value, v, resid, it
+    raise ConvergenceError(
+        f"inverse power iteration did not converge in {MAX_ITER} steps "
+        f"(last residual {resid:.3e})")
 
 
 def principal_eig_scalar(spec: OperatorSpec, tol: float = 1e-10) -> EigenPair:
@@ -68,25 +82,11 @@ def principal_eig_scalar(spec: OperatorSpec, tol: float = 1e-10) -> EigenPair:
     """
     A = assemble_tilted_operator(spec)
     sigma = 1.0 + A.gershgorin_max()
-    S = A.shifted_from(sigma).factor()
-
-    n = A.n
-    phi = np.ones(n)
-    kappa = float(A.matvec(phi).mean())
-    for it in range(1, MAX_ITER + 1):
-        w = S.solve(phi)
-        nu = w.mean()          # Perron value of (sigma*I - A)^-1 at convergence
-        w = w / nu
-        kappa_new = sigma - 1.0 / nu
-        resid = float(np.max(np.abs(A.matvec(w) - kappa_new * w)))
-        done = (abs(kappa_new - kappa) <= tol * max(1.0, abs(kappa_new))
-                and resid <= tol * max(1.0, abs(kappa_new)))
-        phi, kappa = w, kappa_new
-        if done:
-            return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
-    raise ConvergenceError(
-        f"inverse power iteration did not converge in {MAX_ITER} steps "
-        f"(last residual {resid:.3e})")
+    ones = np.ones(A.n)
+    kappa, phi, resid, it = _inverse_power(
+        A.shifted_from(sigma).factor().solve, A.matvec, np.mean, sigma,
+        ones, float(A.matvec(ones).mean()), tol)
+    return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
 
 
 def _assemble_coupled(cell: CellGrid, ds, qs, J, e: int) -> sp.csr_matrix:
@@ -138,22 +138,9 @@ def coupled_perron(cell: CellGrid, ds, qs, J, e: int = 1,
     sigma = 1.0 + float(np.max(diag + row_abs - np.abs(diag)))
     lu = spla.splu((sigma * sp.identity(m * n, format="csc") - M).tocsc())
 
-    v = np.ones(m * n)
-    mu = 0.0
-    for it in range(1, MAX_ITER + 1):
-        w = lu.solve(v)
-        nu = float(np.max(w))
-        w = w / nu
-        mu_new = sigma - 1.0 / nu
-        resid = float(np.max(np.abs(M @ w - mu_new * w)))
-        done = (abs(mu_new - mu) <= tol * max(1.0, abs(mu_new))
-                and resid <= tol * max(1.0, abs(mu_new)))
-        v, mu = w, mu_new
-        if done:
-            break
-    else:
-        raise ConvergenceError(
-            f"coupled inverse power iteration stalled (residual {resid:.3e})")
+    mu, v, resid, it = _inverse_power(
+        lu.solve, lambda w: M @ w, lambda w: float(np.max(w)), sigma,
+        np.ones(m * n), 0.0, tol)
 
     comps = v.reshape(m, n)
     if comps.min() <= 1e-6 * comps.max():

@@ -112,12 +112,6 @@ class FrontProfile:
     def h_s(self) -> float:
         return float(self.s[1] - self.s[0])
 
-    def left_edge(self) -> float:
-        return float(np.nanmax(self.U[:, :, 0]))
-
-    def right_edge(self) -> float:
-        return float(np.nanmin(self.U[:, :, -1]))
-
     def eval(self, xidx: np.ndarray, s: np.ndarray,
              clamp: bool = True) -> np.ndarray:
         """Interpolate U at cell nodes xidx and co-moving positions s.
@@ -156,16 +150,6 @@ class FrontProfile:
         mask = (self.s >= s_lo) & (self.s <= s_hi)
         dU = np.gradient(self.U[:, :, mask], self.h_s, axis=2)
         return dU.reshape(self.m, -1).min(axis=1)
-
-    def validate(self, defect_tol: float = 1e-3, left_tol: float = 1e-3,
-                 right_tol: float = 1e-2) -> None:
-        if self.monotonicity_defect > defect_tol:
-            raise FrontError(
-                f"monotonicity defect {self.monotonicity_defect:.3e} > {defect_tol}")
-        if self.left_edge() > left_tol:
-            raise FrontError(f"left edge {self.left_edge():.3e} not near 0")
-        if self.right_edge() < 1.0 - right_tol:
-            raise FrontError(f"right edge {self.right_edge():.3e} not near 1")
 
 
 def extract_profile(traj, c: float, t_window=None, anchor: bool = True,

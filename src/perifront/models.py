@@ -15,6 +15,7 @@ the off-diagonal Jacobian is what powers every comparison argument.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,6 @@ __all__ = [
     "CompetitionSpec",
     "TransformedCompetition",
     "HypothesisReport",
-    "evaluate_F",
-    "evaluate_jacobian",
     "check_hypotheses",
     "competition_steady_states",
     "competition_to_cooperative",
@@ -225,17 +224,6 @@ class ReactionModel:
         return best
 
 
-def evaluate_F(model: ReactionModel, x_index, u) -> np.ndarray:
-    """Reaction vector F(x_j, u) at a single node."""
-    uu = np.asarray(u, dtype=float)[:, None]
-    return model.F(uu, np.asarray([x_index]))[:, 0]
-
-
-def evaluate_jacobian(model: ReactionModel, x_index, u) -> np.ndarray:
-    uu = np.asarray(u, dtype=float)[:, None]
-    return model.jacobian(uu, np.asarray([x_index]))[:, :, 0]
-
-
 # ---------------------------------------------------------------------------
 # hypothesis reports
 
@@ -385,24 +373,8 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
 
     # H7 along the critical linearized front, sampled where |w| <= 1
     if k0 > 0.0 and h6_ok:
-        c0, lam0 = disp.critical_speed()
-        front = disp.linearized_front(c0, k=1.0)
-        phi = front.phi.as_array()
-        s_hi = -np.log(front.phi.norm_p()) / lam0
-        s_samples = np.linspace(s_hi - 20.0, s_hi, 120)
-        worst, wit = np.inf, None
-        for s in s_samples:
-            w = np.exp(lam0 * s) * phi           # (m, n)
-            if w.sum(axis=0).max() > 1.0 + 1e-12:
-                continue
-            h0 = np.stack([model.h[i](np.zeros((m, n)), xidx)
-                           for i in range(m)])
-            hw = np.stack([model.h[i](w, xidx) for i in range(m)])
-            val = float((h0 - hw).min())
-            if val < worst:
-                worst = val
-                ij = np.unravel_index(np.argmin(h0 - hw), h0.shape)
-                wit = (int(ij[0]) + 1, float(s), int(ij[1]))
+        _, lam0 = disp.critical_speed()
+        worst, wit = _h7_scan(model, disp.cascade(lam0).as_array(), lam0, 120)
         rep.add("H7", "pass" if worst >= -1e-10 else "fail", worst,
                 None if worst >= -1e-10 else wit,
                 "h_i(x, w_c) <= h_i(x, 0) along the critical front")
@@ -428,6 +400,27 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
     else:
         rep.add("H5", "not-checkable", note="asymptotic statement")
     return rep
+
+
+def _h7_scan(model: ReactionModel, arr: np.ndarray, lam: float,
+             samples: int):
+    """min over i, the nodes and samples points s of [s_hi - 20, s_hi] of
+    h_i(x, 0) - h_i(x, w) along the mode w = e^{lam s} arr (m, n), where
+    s_hi puts max_x sum_i w_i at 1; returns (min, witness (i, s, node))."""
+    n = model.cell.n
+    xidx = np.arange(n)
+    h0 = np.stack([h(np.zeros((model.m, n)), xidx) for h in model.h])
+    s_hi = -math.log(float(arr.sum(axis=0).max())) / lam
+    worst, wit = np.inf, None
+    for s in np.linspace(s_hi - 20.0, s_hi, samples):
+        w = np.exp(lam * s) * arr
+        diff = h0 - np.stack([h(w, xidx) for h in model.h])
+        val = float(diff.min())
+        if val < worst:
+            worst = val
+            i, j = np.unravel_index(np.argmin(diff), diff.shape)
+            wit = (int(i) + 1, float(s), int(j))
+    return worst, wit
 
 
 def _cell_imex_step(cell: CellGrid, d: np.ndarray, q: np.ndarray,

@@ -25,7 +25,6 @@ import dataclasses
 import math
 import multiprocessing
 import os
-import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -45,12 +44,9 @@ __all__ = [
     "Stepper",
     "build_initial_front_like",
     "run",
-    "write_binary",
-    "read_binary",
 ]
 
 TOL_BOX = 1e-8
-MAGIC = b"PFRT1"
 CSV_BLOCK_ROWS = 2048
 
 
@@ -210,31 +206,6 @@ class Trajectory:
     def save_csv(self, path) -> None:
         _write_snapshot_csv(path, self.window.x, self.m,
                             zip(self.times, self.snapshots))
-
-
-def write_binary(traj: Trajectory, path) -> None:
-    """Compact dump: magic 'PFRT1'; little-endian uint32 m, n_window,
-    n_snapshots; float64 x_lo, h; the snapshot times; then the snapshot
-    payload ordered (snapshot, component, node), all float64."""
-    m = traj.m
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", m, traj.window.npts, len(traj.times)))
-        fh.write(struct.pack("<dd", traj.window.x_lo, traj.window.h))
-        np.asarray(traj.times, dtype="<f8").tofile(fh)
-        for u in traj.snapshots:
-            u.astype("<f8").tofile(fh)
-
-
-def read_binary(path):
-    with open(path, "rb") as fh:
-        if fh.read(5) != MAGIC:
-            raise PerifrontError("not a PFRT1 dump")
-        m, npts, nsnap = struct.unpack("<III", fh.read(12))
-        x_lo, h = struct.unpack("<dd", fh.read(16))
-        times = np.fromfile(fh, dtype="<f8", count=nsnap)
-        data = np.fromfile(fh, dtype="<f8", count=nsnap * m * npts)
-    return times, data.reshape(nsnap, m, npts), x_lo, h
 
 
 class Stepper:

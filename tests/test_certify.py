@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -273,6 +274,22 @@ class TestSandwich:
         with pytest.raises(CertificationError, match="stable"):
             build_stability_sandwich(weak.model, wdisp, profile, "lower",
                                      delta=0.01)
+
+    @pytest.mark.parametrize("critical", [False, True])
+    def test_eps_search_exhausted_raises(self, model, disp, critical):
+        # no eps passes |sigma| <= |mu-| (or |mu-|/2 at c = c_+0) when mu-
+        # is -1e-300: the search raises instead of keeping the last eps
+        c0, _ = disp.critical_speed()
+        s = np.arange(-40, 41) * model.cell.h
+        flat = perifront.fronts.FrontProfile(
+            c0 if critical else 2.5, model.cell, s,
+            np.ones((model.m, model.cell.n, len(s))),
+            np.ones((model.cell.n, len(s))), 0.0, True)
+        pair = principal_eig_coupled(model, at="one")
+        tiny = dataclasses.replace(pair, value=-1e-300)
+        with pytest.raises(CertificationError, match="no eps"):
+            build_stability_sandwich(model, disp, flat, "lower", delta=0.01,
+                                     psi_pair=tiny)
 
     def test_bracket_search_and_persistence(self, model, disp, profile):
         # the seeded pair brackets the simulated solution at t_c and stays

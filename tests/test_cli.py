@@ -153,6 +153,29 @@ class TestSimulateAndFront:
         assert rc == 2
         assert not (out / "results.json").exists()
 
+    def test_failed_fit_leaves_no_outputs(self, tmp_path):
+        # T = 4 leaves too few snapshots for the speed fit: exit 3 after
+        # the run wrote snapshots.csv
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--T", "4", "--window-cells", "60",
+                   "--out", str(out)])
+        assert rc == 3
+        assert list(out.iterdir()) == []
+
+    def test_failed_rerun_removes_earlier_outputs(self, tmp_path):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--T", "8", "--window-cells", "60",
+                   "--out", str(out)])
+        assert rc in (0, 1)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fronts.csv", "resolved-config.json", "results.json",
+            "snapshots.csv"]
+        # the front reaches the guard band of 60 cells before T = 30
+        rc = main(["simulate", "--T", "30", "--window-cells", "60",
+                   "--out", str(out)])
+        assert rc == 3
+        assert list(out.iterdir()) == []
+
     def test_fronts_skipped_counts_snapshots_without_crossing(self,
                                                                tmp_path):
         # the datum tops out at 1 - eps0 = 0.9, so the t = 0 snapshot has

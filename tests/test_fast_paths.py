@@ -15,6 +15,9 @@ solve, eigenpair and relaxation must be bit-for-bit equal.  The
 dependency lattices sample each Jacobian row over the components it
 reads, so they must give the full lattice's extrema exactly (and, for
 H3, the strided lattice's margin on the built-in models).
+The coupled eigensolve, the lambda_c bisection, the four eps searches
+and both H7 scans now share one loop each with their former twins, so
+each must give its loop's numbers bit for bit.
 """
 
 import dataclasses
@@ -25,8 +28,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import perifront.dispersion as dispersion
+import perifront.eigen as eigen
 import perifront.fronts as fronts
 import perifront.models as models
 import perifront.sim as sim
@@ -34,13 +40,13 @@ from scipy.linalg import solve_banded
 from perifront import (Dispersion, SimState, Stepper, StepperConfig,
                        Trajectory, WindowGrid, convergence_metric,
                        extract_profile, make_cell_grid, make_model,
-                       shift_distance)
+                       principal_eig_coupled, shift_distance)
 import perifront.certify as certify
 from perifront.certify import _gamma0, compute_varrho
 from perifront.cli import _write_csv
 from perifront.dispersion import golden_section_min
 from perifront.eigen import MAX_ITER, principal_eig_scalar
-from perifront.errors import SingularSystemError
+from perifront.errors import ReducibleCouplingError, SingularSystemError
 from perifront.grid import (BandedMatrix, OperatorSpec, PeriodicField,
                             assemble_tilted_operator, solve_cyclic_banded)
 from perifront.models import (PolyH, ReactionModel,
@@ -1046,3 +1052,239 @@ def test_h3_chain_m10_within_budget():
     worst, _ = models._cooperativity(model)
     assert time.perf_counter() - t0 < 1.0
     assert worst == 0.0      # J_{i,i-1} = a, every other off-diagonal 0
+
+
+# ---------------------------------------------------------------------------
+# one inverse-power loop, one bisection, one eps-halving, one H7 scan
+
+
+def ref_coupled_perron(model, at, tol=1e-8):
+    """The coupled loop as it stood beside the scalar one (splu solve, max
+    normalisation, start estimate 0); returns (value, vector, residual,
+    iterations), the vector before the reducibility check."""
+    n = model.cell.n
+    u = np.zeros((model.m, n)) if at == "zero" else np.ones((model.m, n))
+    M = eigen._assemble_coupled(model.cell, model.d, model.q,
+                                model.jacobian(u, np.arange(n)), 1)
+    row_abs = np.asarray(abs(M).sum(axis=1)).ravel()
+    diag = M.diagonal()
+    sigma = 1.0 + float(np.max(diag + row_abs - np.abs(diag)))
+    lu = spla.splu((sigma * sp.identity(model.m * n, format="csc")
+                    - M).tocsc())
+    v = np.ones(model.m * n)
+    mu = 0.0
+    for it in range(1, MAX_ITER + 1):
+        w = lu.solve(v)
+        nu = float(np.max(w))
+        w = w / nu
+        mu_new = sigma - 1.0 / nu
+        resid = float(np.max(np.abs(M @ w - mu_new * w)))
+        done = (abs(mu_new - mu) <= tol * max(1.0, abs(mu_new))
+                and resid <= tol * max(1.0, abs(mu_new)))
+        v, mu = w, mu_new
+        if done:
+            return mu, v, resid, it
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("model", cell_models(), ids=lambda m: m.name)
+def test_coupled_perron_matches_reference_loop(model):
+    for at in ("zero", "one"):
+        mu, v, resid, it = ref_coupled_perron(model, at)
+        comps = v.reshape(model.m, model.cell.n)
+        if comps.min() <= 1e-6 * comps.max():
+            with pytest.raises(ReducibleCouplingError):
+                principal_eig_coupled(model, at=at)
+            continue
+        pair = principal_eig_coupled(model, at=at)
+        assert (pair.value, pair.residual, pair.iterations) == (mu, resid, it)
+        assert type(pair.value) is type(mu)
+        assert np.array_equal(
+            np.concatenate([f.values for f in pair.vectors]), v)
+
+
+def spectral_models():
+    """The built-in models that have a critical speed (the seeded dense
+    model has kappa_1(0) <= 0)."""
+    return [m for m in cell_models() if m.name != "dense"]
+
+
+def ref_lambda_c(disp, c):
+    c0, lam0 = disp.critical_speed()
+    g = lambda lam: disp.kappa(0, lam) - c * lam
+    lo, hi = 1e-12, lam0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("model", spectral_models(), ids=lambda m: m.name)
+def test_lambda_c_is_bitwise_equal(model):
+    disp = Dispersion(model)
+    c0, _ = disp.critical_speed()
+    for c in (1.05 * c0, 1.25 * c0, 2.0 * c0):
+        assert disp.lambda_c(c) == ref_lambda_c(disp, c)
+
+
+def ref_eps_supercritical(disp, c):
+    """build_sub_supercritical's loop: 20 halvings of the epsilon rule
+    until sigma_eps < 0."""
+    lam_c = disp.lambda_c(c)
+    eps = disp.epsilon_rule(c)
+    for _ in range(20):
+        sigma_eps = disp.kappa(0, lam_c + eps) - c * (lam_c + eps)
+        if sigma_eps < 0.0:
+            return eps, sigma_eps
+        eps *= 0.5
+    raise AssertionError("no eps with sigma_eps < 0")
+
+
+def ref_eps_star(disp):
+    """_pick_eps_star's loop: 30 halvings of lam*/4 until the curve gap is
+    positive and sigma* < 0."""
+    c0, lam0 = disp.critical_speed()
+    eps = lam0 / 4.0
+    for _ in range(30):
+        try:
+            gap_ok = disp.spectral_gap(lam0 + eps) > 0.0
+        except dispersion.PerifrontError:
+            gap_ok = False
+        sigma = c0 * (lam0 + eps) - disp.kappa(0, lam0 + eps)
+        if gap_ok and sigma < 0.0:
+            return eps, sigma
+        eps *= 0.5
+    raise AssertionError("no admissible eps*")
+
+
+def ref_sandwich_eps(disp, c, mu):
+    """build_stability_sandwich's two loops, falling through after 30
+    halvings as they did; returns (eps, beta)."""
+    c0, lam0 = disp.critical_speed()
+    if abs(c - c0) <= 1e-10:
+        eps, sig = ref_eps_star(disp)
+        for _ in range(30):
+            if abs(sig) <= abs(mu) / 2.0:
+                break
+            eps *= 0.5
+            sig = c0 * (lam0 + eps) - disp.kappa(0, lam0 + eps)
+        return eps, abs(sig)
+    lam_c = disp.lambda_c(c)
+    eps = disp.epsilon_rule(c)
+    for _ in range(30):
+        sig = disp.kappa(0, lam_c + eps) - c * (lam_c + eps)
+        if sig < 0.0 and abs(sig) <= abs(mu):
+            break
+        eps *= 0.5
+    return eps, abs(sig) / 2.0
+
+
+@pytest.mark.parametrize("model", spectral_models(), ids=lambda m: m.name)
+def test_subsolution_eps_is_bitwise_equal(model):
+    disp = Dispersion(model)
+    c0, _ = disp.critical_speed()
+    sub = certify.build_sub_supercritical(model, disp, 1.25 * c0, 0.1, 0.1)
+    assert (sub.params["eps"], sub.params["sigma_eps"]) == \
+        ref_eps_supercritical(disp, 1.25 * c0)
+    crit = certify.build_sub_critical(model, disp, 0.1, 0.1)
+    assert (crit.params["eps_star"], crit.params["sigma_star"]) == \
+        ref_eps_star(disp)
+
+
+def zero_profile(model, c):
+    """A profile that is 0 everywhere: the z0 scan passes at z0 = 0, so
+    the sandwich builder runs through to its parameters quickly."""
+    s = np.arange(-40, 41) * model.cell.h
+    return fronts.FrontProfile(c, model.cell, s,
+                               np.zeros((model.m, model.cell.n, len(s))),
+                               np.ones((model.cell.n, len(s))), 0.0, True)
+
+
+# competition-const's upper state is not linearly stable: no sandwich
+@pytest.mark.parametrize("model", [m for m in spectral_models()
+                                   if m.name != "competition-const"],
+                         ids=lambda m: m.name)
+def test_sandwich_eps_is_bitwise_equal(model):
+    disp = Dispersion(model)
+    c0, _ = disp.critical_speed()
+    pair = principal_eig_coupled(model, at="one")
+    for c in (1.25 * c0, c0):
+        cand = certify.build_stability_sandwich(
+            model, disp, zero_profile(model, c), "lower", delta=0.01,
+            psi_pair=pair)
+        eps, beta = ref_sandwich_eps(disp, c, pair.value)
+        assert (cand.params["eps"], cand.params["beta"],
+                cand.params["sigma"]) == (eps, beta, 1.0 / beta)
+
+
+def ref_h7_hypotheses(model, disp):
+    """check_hypotheses' H7 loop: s_hi by np.log, h(x, 0) recomputed per
+    sample, samples above unit norm skipped; returns (worst, witness)."""
+    m, n = model.m, model.cell.n
+    xidx = np.arange(n)
+    c0, lam0 = disp.critical_speed()
+    front = disp.linearized_front(c0, k=1.0)
+    phi = front.phi.as_array()
+    s_hi = -np.log(front.phi.norm_p()) / lam0
+    worst, wit = np.inf, None
+    for s in np.linspace(s_hi - 20.0, s_hi, 120):
+        w = np.exp(lam0 * s) * phi
+        if w.sum(axis=0).max() > 1.0 + 1e-12:
+            continue
+        h0 = np.stack([model.h[i](np.zeros((m, n)), xidx) for i in range(m)])
+        hw = np.stack([model.h[i](w, xidx) for i in range(m)])
+        val = float((h0 - hw).min())
+        if val < worst:
+            worst = val
+            ij = np.unravel_index(np.argmin(h0 - hw), h0.shape)
+            wit = (int(ij[0]) + 1, float(s), int(ij[1]))
+    return worst, wit
+
+
+def ref_h7_margin_along(model, arr, lam):
+    """certify's copy of the scan: 80 samples, s_hi by math.log, no
+    witness."""
+    n = model.cell.n
+    xidx = np.arange(n)
+    h0 = np.stack([model.h[i](np.zeros((model.m, n)), xidx)
+                   for i in range(model.m)])
+    worst = np.inf
+    s_hi = -math.log(float(arr.sum(axis=0).max())) / lam
+    for s in np.linspace(s_hi - 20.0, s_hi, 80):
+        w = np.exp(lam * s) * arr
+        hw = np.stack([model.h[i](w, xidx) for i in range(model.m)])
+        worst = min(worst, float((h0 - hw).min()))
+    return worst
+
+
+@pytest.mark.parametrize("model", spectral_models(), ids=lambda m: m.name)
+def test_h7_scans_are_bitwise_equal(model):
+    disp = Dispersion(model)
+    c0, lam0 = disp.critical_speed()
+    ref = ref_h7_hypotheses(model, disp)
+    assert models._h7_scan(model, disp.cascade(lam0).as_array(), lam0,
+                           120) == ref
+    rep = models.check_hypotheses(model, run_h5_heuristic=False)
+    assert rep["H7"].margin == ref[0]
+    for lam in (lam0, disp.lambda_c(1.25 * c0)):
+        arr = disp.cascade(lam).as_array()
+        assert models._h7_scan(model, arr, lam, 80)[0] == \
+            ref_h7_margin_along(model, arr, lam)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_h7_s_hi_log_is_pinned(n):
+    """The H7 scan takes s_hi with math.log where check_hypotheses used
+    np.log.  The two can differ in the last bit on some inputs, but not
+    on the built-in models' critical-mode norms."""
+    cell = make_cell_grid(1.0, n)
+    for model in ([make_model(name, cell, **kw) for name, kw in MODELS]
+                  + builtin_models(cell)[len(all_models()):]):
+        disp = Dispersion(model)
+        norm = disp.cascade(disp.critical_speed()[1]).norm_p()
+        assert math.log(norm) == np.log(norm), model.name

@@ -5,8 +5,8 @@ import pytest
 
 from perifront import (check_competition_assumptions, check_hypotheses,
                        competition_steady_states, competition_to_cooperative,
-                       evaluate_F, evaluate_jacobian, inverse_transform,
-                       make_cell_grid, make_competition_spec, make_model,
+                       inverse_transform, make_cell_grid,
+                       make_competition_spec, make_model,
                        principal_eig_coupled)
 from perifront.models import PolyH, ReactionModel
 
@@ -16,12 +16,17 @@ def constant2():
     return make_model("constant2")
 
 
+def node_F(model, x, u):
+    """F at the single node x, through model.F on a one-column array."""
+    return model.F(np.asarray(u, dtype=float)[:, None], np.array([x]))[:, 0]
+
+
 class TestEvaluate:
     def test_zero_state(self, constant2):
-        assert np.allclose(evaluate_F(constant2, 0, [0.0, 0.0]), 0.0)
+        assert np.allclose(node_F(constant2, 0, [0.0, 0.0]), 0.0)
 
     def test_one_state(self, constant2):
-        assert np.max(np.abs(evaluate_F(constant2, 3, [1.0, 1.0]))) <= 1e-12
+        assert np.max(np.abs(node_F(constant2, 3, [1.0, 1.0]))) <= 1e-12
 
     def test_structural_identity(self, constant2):
         # f_1 = u_1 h_1 and f_2 = a_21 u_1 + u_2 h_2 exactly
@@ -40,13 +45,13 @@ class TestEvaluate:
         for _ in range(10):
             u = rng.uniform(0, 1, 2)
             x = int(rng.integers(0, constant2.cell.n))
-            J = evaluate_jacobian(constant2, x, u)
+            J = constant2.jacobian(u[:, None], np.array([x]))[:, :, 0]
             eps = 1e-6
             for k in range(2):
                 up = u.copy(); up[k] += eps
                 um = u.copy(); um[k] -= eps
-                fd = (evaluate_F(constant2, x, up)
-                      - evaluate_F(constant2, x, um)) / (2 * eps)
+                fd = (node_F(constant2, x, up)
+                      - node_F(constant2, x, um)) / (2 * eps)
                 assert np.max(np.abs(J[:, k] - fd)) <= 1e-6
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from perifront import (Dispersion, SimState, Stepper, StepperConfig,
                        WindowGrid, build_initial_front_like, make_cell_grid,
-                       make_model, read_binary, run, write_binary)
+                       make_model, run)
 from perifront.errors import FrontError, PerifrontError
 from perifront.models import PolyH, ReactionModel
 
@@ -234,19 +234,6 @@ class TestInitialData:
 
 
 class TestSerialization:
-    def test_binary_round_trip(self, constant2, tmp_path):
-        win = WindowGrid(constant2.cell, 20)
-        disp = Dispersion(constant2)
-        st = cut_front(constant2, win, 2.5, disp=disp)
-        traj = run(constant2, st, win, StepperConfig(dt=0.01, snapshot_dt=0.2),
-                   1.0)
-        path = tmp_path / "traj.pfrt"
-        write_binary(traj, path)
-        times, data, x_lo, h = read_binary(path)
-        assert np.allclose(times, traj.times)
-        assert np.allclose(data[3], traj.snapshots[3])
-        assert h == win.h
-
     def test_csv_header(self, constant2, tmp_path):
         win = WindowGrid(constant2.cell, 20)
         st = SimState(0.0, np.zeros((2, win.npts)))
