@@ -42,6 +42,17 @@ __all__ = [
     "smoothstep_cutoff",
 ]
 
+DT_FD = 1e-3           # time step of the centred residual difference
+T_SAMPLES = 5          # residual lattice times per t-region
+C_ALLOW = 10.0         # residual allowance C_ALLOW * (h**2 + DT_FD**2)
+S_BAR = 2.0            # the sandwich cutoff chi falls from 1 to 0
+CHI_WIDTH = 4.0        # on [S_BAR - CHI_WIDTH, S_BAR]
+Z_SCAN_MAX = 40.0      # corrector shifts z0 are scanned on [0, Z_SCAN_MAX)
+SEED_TIMES = (1.0, 2.0, 4.0, 8.0)          # find_sandwich_seed's t_c grid
+SEED_SIGMA_FACTORS = (1.0, 2.0, 4.0, 8.0)  # and its sigma * beta grid
+SEED_MARGIN_CELLS = 4  # window edge cells left out of the seed bracket
+VARRHO_SAMPLES = 3     # box lattice points per component in compute_varrho
+
 
 @dataclass(frozen=True)
 class BoundaryCheck:
@@ -128,9 +139,10 @@ def _halve_eps(eps: float, sigma, ok, steps: int, message: str) -> tuple:
     raise CertificationError(message)
 
 
-def smoothstep_cutoff(s_lo: float, s_hi: float, with_prime: bool = False):
-    """Quintic cutoff: 1 left of s_lo, 0 right of s_hi, with
-    |chi'| + |chi''| <= 1 verified numerically for the chosen width."""
+def smoothstep_cutoff(s_lo: float, s_hi: float):
+    """Quintic cutoff chi: 1 left of s_lo, 0 right of s_hi, with
+    |chi'| + |chi''| <= 1 verified numerically for the chosen width;
+    returns (chi, chi')."""
     w = s_hi - s_lo
 
     def chi(s):
@@ -152,7 +164,7 @@ def smoothstep_cutoff(s_lo: float, s_hi: float, with_prime: bool = False):
     if bound > 1.0:
         raise CertificationError(
             f"cutoff width {w} too narrow: |chi'|+|chi''| = {bound:.3f} > 1")
-    return (chi, chi_prime) if with_prime else chi
+    return chi, chi_prime
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +383,8 @@ def build_super_linearized(model, disp, c: float, k: float) -> CandidateSolution
         constraints=[BoundaryCheck("kpp_along_mode", margin)])
 
 
-def build_super_linearized_critical(model, disp, k: float, n_param: float,
-                                    s_ceiling: float | None = None) -> CandidateSolution:
+def build_super_linearized_critical(model, disp, k: float,
+                                    n_param: float) -> CandidateSolution:
     """Critical supersolution k e^{lam* s} ((|s| + n) Phi* - Phi*'), valid
     and positive on s <= s0 <= s* = min{-1, n - 1/lam* - M*(1)/m*}."""
     if k <= 0.0 or n_param <= 0.0:
@@ -383,7 +395,7 @@ def build_super_linearized_critical(model, disp, k: float, n_param: float,
     M_s, m_s = _phi_bounds(phi_s)
     M_d = float(np.max(np.abs(phi_d.as_array())))
     s_star = min(-1.0, n_param - 1.0 / lam0 - M_d / m_s)
-    s0 = s_star if s_ceiling is None else min(s_ceiling, s_star)
+    s0 = s_star
     k_star = math.exp(-2.0 * lam0 * s0) / ((2.0 * abs(s0) + n_param) * m_s - M_d)
 
     margin, _ = _h7_scan(model, phi_s.as_array(), lam0, 80)
@@ -429,10 +441,7 @@ def build_super_linearized_critical(model, disp, k: float, n_param: float,
 
 def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
                              sigma: float | None = None, s0: float = 0.0,
-                             psi_pair=None, s_bar: float = 2.0,
-                             chi_width: float = 4.0,
-                             z_scan_max: float = 40.0,
-                             smooth_passes: int = 2) -> CandidateSolution:
+                             psi_pair=None) -> CandidateSolution:
     """Profile-backed sandwich U(x, s0 +/- sigma(1-e^{-beta t})) +/- delta
     xi e^{-beta t}; the shift z0 inside the corrector is found by scanning
     until the near-one comparison inequality holds with margin delta/2.
@@ -443,8 +452,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
     """
     if sign not in ("lower", "upper"):
         raise CertificationError("sign must be 'lower' or 'upper'")
-    if smooth_passes > 0:
-        profile = profile.smoothed(smooth_passes)
+    profile = profile.smoothed()
     c = profile.c
     c0, lam0 = disp.critical_speed()
     critical = abs(c - c0) <= 1e-10
@@ -487,7 +495,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
     if sigma * beta < 1.0 - 1e-12:
         raise CertificationError("need sigma >= 1/beta")
 
-    chi, chi_p = smoothstep_cutoff(s_bar - chi_width, s_bar, with_prime=True)
+    chi, chi_p = smoothstep_cutoff(S_BAR - CHI_WIDTH, S_BAR)
     cell = model.cell
 
     def tail_and_slope(idx, s):
@@ -517,7 +525,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
     scan_s = np.arange(profile.s[0] - 10.0, profile.s[-1] + 10.0, cell.h)
     all_idx = np.arange(cell.n)
     z0 = None
-    for z in np.arange(0.0, z_scan_max, cell.h):
+    for z in np.arange(0.0, Z_SCAN_MAX, cell.h):
         ok = True
         for r in range(cell.n):
             idx = np.full(len(scan_s), r)
@@ -531,7 +539,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
             break
     if z0 is None:
         raise CertificationError(
-            f"no corrector shift z0 found in [0, {z_scan_max}]: profile "
+            f"no corrector shift z0 found in [0, {Z_SCAN_MAX}]: profile "
             "defects too large or delta too big")
 
     sgn = -1.0 if sign == "lower" else +1.0
@@ -553,7 +561,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         sh = shifted_s(t, x)
         rate = c + sgn * sigma * beta * math.exp(-beta * t)
         ebt = math.exp(-beta * t)
-        out = rate * profile.ds(idx, sh, span=4)
+        out = rate * profile.ds(idx, sh)
         out += sgn * delta * ebt * (rate * xi_s(idx, sh + z0)
                                     - beta * xi(idx, sh + z0))
         return out
@@ -565,10 +573,10 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
 
     def bare_dudt(t, x):
         x, idx = _nodes(x, cell)
-        return c * profile.ds(idx, c * t - x + s0, span=4)
+        return c * profile.ds(idx, c * t - x + s0)
 
     # informational delta_c estimate from the profile's interior slope
-    M_win = max(abs(s_bar - chi_width), abs(s_bar)) + 2.0
+    M_win = max(abs(S_BAR - CHI_WIDTH), abs(S_BAR)) + 2.0
     alpha = profile.min_slope(-M_win, M_win)
 
     # keep the shifted profile argument strictly inside the solid range
@@ -606,10 +614,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
 # seeding the sandwich against a simulated solution
 
 
-def find_sandwich_seed(model, disp, profile, traj, delta: float,
-                       psi_pair=None, t_grid=(1.0, 2.0, 4.0, 8.0),
-                       sigma_factors=(1.0, 2.0, 4.0, 8.0),
-                       margin_cells: int = 4):
+def find_sandwich_seed(model, disp, profile, traj, delta: float):
     """Search a small (t_c, sigma) grid for a pair whose lower and upper
     sandwich evaluators bracket the simulated solution at t_c.
 
@@ -621,12 +626,12 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float,
     from .fronts import front_position
     window = traj.window
     n = model.cell.n
-    inner = slice(margin_cells * n, window.npts - margin_cells * n)
+    inner = slice(SEED_MARGIN_CELLS * n, window.npts - SEED_MARGIN_CELLS * n)
     x_in = window.x[inner]
-    psi_pair = psi_pair or principal_eig_coupled(model, at="one")
+    psi_pair = principal_eig_coupled(model, at="one")
 
     snap = {round(t, 9): u for t, u in zip(traj.times, traj.snapshots)}
-    for t_c in t_grid:
+    for t_c in SEED_TIMES:
         u_tc = snap.get(round(t_c, 9))
         if u_tc is None:
             continue
@@ -636,7 +641,7 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float,
         beta = build_stability_sandwich(model, disp, profile, "lower",
                                         delta=delta, psi_pair=psi_pair,
                                         s0=s0).params["beta"]
-        for fac in sigma_factors:
+        for fac in SEED_SIGMA_FACTORS:
             sigma = fac / beta
             lower = build_stability_sandwich(model, disp, profile, "lower",
                                              delta=delta, psi_pair=psi_pair,
@@ -659,13 +664,12 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float,
 # residual verification
 
 
-def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
-                        dt_fd: float = 1e-3, C_allow: float = 10.0) -> CertReport:
+def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
     """Finite-difference check of the differential inequality on a (t, x)
     lattice covering the candidate's s-region.
 
     The residual is normalized by the candidate's amplitude scale; the
-    pass/fail allowance is C_allow*(h**2 + dt_fd**2) plus, for
+    pass/fail allowance is C_ALLOW*(h**2 + DT_FD**2) plus, for
     profile-backed candidates, the measured residual of the bare profile
     over the same lattice.
     """
@@ -675,9 +679,8 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
     if s_hi <= s_lo:
         raise CertificationError("empty region")
     c = cand.params["c"]
-    if t_samples is None:
-        t0 = max(cand.t_region[0], 2 * dt_fd)
-        t_samples = np.linspace(t0, cand.t_region[1], 5)
+    t0 = max(cand.t_region[0], 2 * DT_FD)
+    t_samples = np.linspace(t0, cand.t_region[1], T_SAMPLES)
 
     def lattice_residual(evaluator, region, dudt_eval=None):
         reg_lo, reg_hi = region
@@ -695,9 +698,9 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
             if dudt_eval is not None:
                 dudt = dudt_eval(t, x)
             else:
-                up = evaluator(t + dt_fd, x)
-                um = evaluator(t - dt_fd, x)
-                dudt = (up - um) / (2.0 * dt_fd)
+                up = evaluator(t + DT_FD, x)
+                um = evaluator(t - DT_FD, x)
+                dudt = (up - um) / (2.0 * DT_FD)
             lap = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h**2
             grad = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
             inner = slice(1, -1)
@@ -732,7 +735,7 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
                                      cand.bare_dudt_evaluator)
         profile_defect = float(np.max(np.abs(bare_m)))
 
-    allowance = C_allow * (h**2 + dt_fd**2) + profile_defect
+    allowance = C_ALLOW * (h**2 + DT_FD**2) + profile_defect
     b_ok = all(b.margin >= -allowance for b in cand.constraints)
     verdict = bool(margins.min() >= -allowance and b_ok)
     if not b_ok and witness is None:
@@ -747,21 +750,19 @@ def residual_sign_check(model, cand: CandidateSolution, t_samples=None,
 # near-one Jacobian variation radius
 
 
-def _row_variation(model, J1: np.ndarray, i: int, rho: float,
-                   samples: int) -> float:
-    """max over nodes and the samples-point lattice of the box
+def _row_variation(model, J1: np.ndarray, i: int, rho: float) -> float:
+    """max over nodes and the VARRHO_SAMPLES-point lattice of the box
     [(1-rho), (1+rho)] of sum_k |J_ik(u) - J1_ik|.
 
     The lattice spans row_reads(i) alone, the others held at 1."""
-    pts = np.linspace(1.0 - rho, 1.0 + rho, samples)
+    pts = np.linspace(1.0 - rho, 1.0 + rho, VARRHO_SAMPLES)
     u, xidx = dependency_lattice(model.row_reads(i), pts, model.m,
                                  model.cell.n, fill=1.0)
     tot = np.abs(model.jacobian_row(i, u, xidx) - J1[i][:, xidx]).sum(axis=0)
     return float(tot.max())
 
 
-def compute_varrho(model, mu_minus: float, psi: np.ndarray,
-                   samples: int = 3) -> tuple:
+def compute_varrho(model, mu_minus: float, psi: np.ndarray) -> tuple:
     """Per-component radius rho_i such that the Jacobian rows vary from
     their value at 1 by at most alpha* |mu-| / 2 over the box
     [(1-rho) 1, (1+rho) 1]; returns (list of rho_i, min capped at 1)."""
@@ -772,18 +773,15 @@ def compute_varrho(model, mu_minus: float, psi: np.ndarray,
     n = model.cell.n
     J1 = model.jacobian(np.ones((model.m, n)), np.arange(n))
 
-    def variation(i, rho):
-        return _row_variation(model, J1, i, rho, samples)
-
     rhos = []
     for i in range(model.m):
-        if variation(i, 0.0) > bound:
+        if _row_variation(model, J1, i, 0.0) > bound:
             raise CertificationError(
                 "Jacobian variation positive already at rho = 0 "
                 "(numerical inconsistency)")
-        if variation(i, 1.0) <= bound:
+        if _row_variation(model, J1, i, 1.0) <= bound:
             rhos.append(1.0)
             continue
-        rhos.append(bisect(lambda rho: variation(i, rho) <= bound,
-                           0.0, 1.0, 60)[0])
+        rhos.append(bisect(lambda rho: _row_variation(model, J1, i, rho)
+                           <= bound, 0.0, 1.0, 60)[0])
     return rhos, min(1.0, min(rhos))

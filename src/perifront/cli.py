@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import PerifrontError
 from .grid import make_cell_grid
-from .dispersion import Dispersion
+from .eigen import COUPLED_TOL, SCALAR_TOL
+from .dispersion import CASCADE_RESID_TOL, Dispersion
 from .models import (check_competition_assumptions, check_hypotheses,
                      competition_to_cooperative, make_competition_spec,
                      make_model)
@@ -27,18 +28,18 @@ from .sim import (StepperConfig, WindowGrid, _write_rows,
                   build_initial_front_like, run)
 from .fronts import (extract_profile, fit_decay, front_position,
                      measure_speed)
-from .certify import (build_sub_supercritical, build_super_linearized,
-                      residual_sign_check)
+from .certify import (C_ALLOW, build_sub_supercritical,
+                      build_super_linearized, residual_sign_check)
 
 TOLERANCES = {
-    "eigen_scalar": 1e-10,
-    "eigen_coupled": 1e-8,
-    "cascade_residual": 1e-8,
+    "eigen_scalar": SCALAR_TOL,
+    "eigen_coupled": COUPLED_TOL,
+    "cascade_residual": CASCADE_RESID_TOL,
     "speed_rel": 0.02,
     "decay_rel_supercritical": 0.05,
     "decay_rel_critical": 0.10,
     "convergence_sup": 0.02,
-    "cert_allowance_factor": 10.0,
+    "cert_allowance_factor": C_ALLOW,
 }
 
 DEFAULTS = {
@@ -83,7 +84,7 @@ def _resolve_config(args, defaults=DEFAULTS) -> dict:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
     for key in DEFAULTS:
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -297,21 +298,9 @@ def main(argv=None) -> int:
                      ("hypotheses", cmd_hypotheses)]:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--model", type=str, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--window-cells", dest="window_cells", type=int,
-                       default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--snapshot-dt", dest="snapshot_dt", type=float,
-                       default=None)
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--eps0", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--level", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
+        for key, value in DEFAULTS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=type(value), default=None)
         p.set_defaults(func=fn)
     try:
         args = parser.parse_args(argv)

@@ -39,6 +39,9 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 64.0
+GAP_FLOOR = 1e-8           # least curve gap the cascade accepts
+CASCADE_RESID_TOL = 1e-8   # cascade residual bound, times max(1, max phi_j)
+RICHARDSON_TOL = 1e-4      # step-halving defect bound of dPhi/dlam
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
@@ -157,10 +160,9 @@ class Dispersion:
     """Dispersion data of a reaction model in direction e, memoized per
     (component, lam) on a fixed grid."""
 
-    def __init__(self, model, e: int = 1, tol: float = 1e-10):
+    def __init__(self, model, e: int = 1):
         self.model = model
         self.e = int(e)
-        self.tol = tol
         self._pair_memo = {}
         self._cascade_memo = {}
         self._crit = None
@@ -179,7 +181,7 @@ class Dispersion:
         key = (i, round(lam, 12))
         if key not in self._pair_memo:
             self._pair_memo[key] = principal_eig_scalar(
-                self._component_spec(i, lam), tol=self.tol)
+                self._component_spec(i, lam))
         return self._pair_memo[key]
 
     def kappa(self, i: int, lam: float) -> float:
@@ -243,8 +245,7 @@ class Dispersion:
         return self.kappa(0, lam) - max(
             self.kappa(j, lam) for j in range(1, self.model.m))
 
-    def cascade(self, lam: float, gap_floor: float = 1e-8,
-                resid_tol: float = 1e-8) -> VectorEigenfunction:
+    def cascade(self, lam: float) -> VectorEigenfunction:
         """Positive vector eigenfunction Phi_lam via the triangular cascade."""
         key = round(lam, 12)
         if key in self._cascade_memo:
@@ -252,7 +253,7 @@ class Dispersion:
         model = self.model
         cell = model.cell
         gap = self.spectral_gap(lam)
-        if gap < gap_floor:
+        if gap < GAP_FLOOR:
             raise SpectralGapError(
                 f"spectral gap {gap:.3e} below floor at lam = {lam:.6g}: "
                 "first curve does not dominate")
@@ -275,7 +276,7 @@ class Dispersion:
                     f"lam = {lam:.6g} (grid too coarse?)")
             resid = float(np.max(np.abs(kappa1 * phi_j - A_j.matvec(phi_j)
                                         - rhs)))
-            if resid > resid_tol * max(1.0, float(np.max(phi_j))):
+            if resid > CASCADE_RESID_TOL * max(1.0, float(np.max(phi_j))):
                 raise SpectralGapError(
                     f"cascade residual {resid:.3e} out of tolerance")
             comps.append(phi_j)
@@ -287,12 +288,10 @@ class Dispersion:
         self._cascade_memo[key] = out
         return out
 
-    def cascade_derivative(self, lam: float, dlam: float | None = None,
-                           richardson_tol: float = 1e-4) -> EigenfunctionDerivative:
+    def cascade_derivative(self, lam: float) -> EigenfunctionDerivative:
         """d/dlam of Phi_lam by central differences, with a step-halving
         consistency check instead of solving the rank-deficient identity."""
-        if dlam is None:
-            dlam = 1e-4 * max(1.0, abs(lam))
+        dlam = 1e-4 * max(1.0, abs(lam))
         cell = self.model.cell
 
         def stack(l):
@@ -302,7 +301,7 @@ class Dispersion:
         der_half = (stack(lam + dlam / 2) - stack(lam - dlam / 2)) / dlam
         scale = max(1.0, float(np.max(np.abs(der))))
         defect = float(np.max(np.abs(der - der_half))) / scale
-        if defect > richardson_tol:
+        if defect > RICHARDSON_TOL:
             raise PerifrontError(
                 f"lambda-derivative not Richardson-consistent "
                 f"(defect {defect:.3e} at dlam = {dlam:.3g})")
@@ -336,7 +335,7 @@ class Dispersion:
         return {"lambda": lams, "kappa": kap}
 
 
-def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s, e: int = 1):
+def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s):
     """Rightward and leftward invasion speeds of the intermediate boundary
     state of the two-species competition application.
 
@@ -346,7 +345,7 @@ def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s, e: int = 1):
     def make(dv, qv, ev, lam, tilt_sign):
         return principal_eig_scalar(OperatorSpec(
             d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),
-            eta=PeriodicField(cell, ev), lam=tilt_sign * lam, e=e)).value
+            eta=PeriodicField(cell, ev), lam=tilt_sign * lam)).value
 
     def minimize(ratio):
         return bracket_and_minimize(

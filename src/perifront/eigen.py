@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 MAX_ITER = 100_000
+SCALAR_TOL = 1e-10     # residual contracts: ||A v - value v||_inf and
+COUPLED_TOL = 1e-8     # the last value change <= TOL * max(1, |value|)
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,11 @@ def _inverse_power(solve, matvec, norm, sigma, v, est, tol):
         f"(last residual {resid:.3e})")
 
 
-def principal_eig_scalar(spec: OperatorSpec, tol: float = 1e-10) -> EigenPair:
+def principal_eig_scalar(spec: OperatorSpec) -> EigenPair:
     """Perron eigenpair of the assembled tilted operator.
 
-    Returns (kappa, phi) with ||A phi - kappa phi||_inf <= tol and phi > 0
+    Returns (kappa, phi) with ||A phi - kappa phi||_inf <= SCALAR_TOL *
+    max(1, |kappa|) and phi > 0
     normalized to mean(phi) = 1 (a smooth normalization in lam, which the
     dispersion module differentiates through).
     """
@@ -85,11 +88,11 @@ def principal_eig_scalar(spec: OperatorSpec, tol: float = 1e-10) -> EigenPair:
     ones = np.ones(A.n)
     kappa, phi, resid, it = _inverse_power(
         A.shifted_from(sigma).factor().solve, A.matvec, np.mean, sigma,
-        ones, float(A.matvec(ones).mean()), tol)
+        ones, float(A.matvec(ones).mean()), SCALAR_TOL)
     return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
 
 
-def _assemble_coupled(cell: CellGrid, ds, qs, J, e: int) -> sp.csr_matrix:
+def _assemble_coupled(cell: CellGrid, ds, qs, J) -> sp.csr_matrix:
     """Sparse (m*n) x (m*n) matrix of the coupled periodic operator.
 
     Diagonal blocks are the untilted scalar operators with zeroth-order
@@ -103,7 +106,7 @@ def _assemble_coupled(cell: CellGrid, ds, qs, J, e: int) -> sp.csr_matrix:
             d=PeriodicField(cell, ds[i]),
             q=PeriodicField(cell, qs[i]),
             eta=PeriodicField(cell, J[i, i]),
-            lam=0.0, e=e)
+            lam=0.0)
         B = assemble_tilted_operator(spec)
         blocks[i][i] = sp.diags(
             [B.sub[1:], B.main, B.sup[:-1]], [-1, 0, 1], format="lil")
@@ -115,8 +118,7 @@ def _assemble_coupled(cell: CellGrid, ds, qs, J, e: int) -> sp.csr_matrix:
     return sp.bmat(blocks, format="csc")
 
 
-def coupled_perron(cell: CellGrid, ds, qs, J, e: int = 1,
-                   tol: float = 1e-8) -> CoupledEigenPair:
+def coupled_perron(cell: CellGrid, ds, qs, J) -> CoupledEigenPair:
     """Perron eigenpair of the coupled operator with Jacobian field J (m,m,n).
 
     Off-diagonal entries of J must be >= 0 (cooperative coupling) so the
@@ -132,7 +134,7 @@ def coupled_perron(cell: CellGrid, ds, qs, J, e: int = 1,
                 raise ReducibleCouplingError(
                     f"off-diagonal Jacobian entry ({i},{j}) is negative: "
                     "coupled operator is not Metzler")
-    M = _assemble_coupled(cell, ds, qs, J, e)
+    M = _assemble_coupled(cell, ds, qs, J)
     row_abs = np.asarray(abs(M).sum(axis=1)).ravel()
     diag = M.diagonal()
     sigma = 1.0 + float(np.max(diag + row_abs - np.abs(diag)))
@@ -140,7 +142,7 @@ def coupled_perron(cell: CellGrid, ds, qs, J, e: int = 1,
 
     mu, v, resid, it = _inverse_power(
         lu.solve, lambda w: M @ w, lambda w: float(np.max(w)), sigma,
-        np.ones(m * n), 0.0, tol)
+        np.ones(m * n), 0.0, COUPLED_TOL)
 
     comps = v.reshape(m, n)
     if comps.min() <= 1e-6 * comps.max():
@@ -151,8 +153,7 @@ def coupled_perron(cell: CellGrid, ds, qs, J, e: int = 1,
     return CoupledEigenPair(mu, vectors, resid, it)
 
 
-def principal_eig_coupled(model, at: str = "one",
-                          tol: float = 1e-8, e: int = 1) -> CoupledEigenPair:
+def principal_eig_coupled(model, at: str = "one") -> CoupledEigenPair:
     """Perron pair of the linearization of a reaction model at 'zero' or 'one'.
 
     For at='one' this is the (mu-, Psi) pair whose negativity certifies
@@ -164,4 +165,4 @@ def principal_eig_coupled(model, at: str = "one",
     u = (np.zeros((model.m, cell.n)) if at == "zero"
          else np.ones((model.m, cell.n)))
     J = model.jacobian(u, np.arange(cell.n))
-    return coupled_perron(cell, model.d, model.q, J, e=e, tol=tol)
+    return coupled_perron(cell, model.d, model.q, J)

@@ -32,6 +32,14 @@ __all__ = [
     "component_ratio_bound",
 ]
 
+SMOOTH_PASSES = 2      # binomial passes of FrontProfile.smoothed
+SLOPE_SPAN = 4         # half-width in bins of FrontProfile.ds
+ANCHOR_NODE = 0        # extract_profile anchors U_1(x_ANCHOR_NODE, 0) = 1/2
+MAX_GAP_CELLS = 1.0    # and fills holes up to this many cells wide
+CONVERGENCE_MARGIN_CELLS = 5   # window edge cells convergence_metric skips
+DECAY_FLOOR = 1e-12    # fit_decay's smallest fitted tail value
+MIN_DECADES = 3.0      # and the decades the fitted tail must span
+
 
 def front_position(u: np.ndarray, x: np.ndarray, level: float) -> float:
     """Rightmost downward crossing of the level, linearly interpolated."""
@@ -93,12 +101,12 @@ class FrontProfile:
     def m(self) -> int:
         return self.U.shape[0]
 
-    def smoothed(self, passes: int = 2) -> "FrontProfile":
+    def smoothed(self) -> "FrontProfile":
         """Binomially smoothed copy along s (kills bin-level roughness,
         O(h**2) bias); used by the profile-backed certification."""
         kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
         U = self.U.copy()
-        for _ in range(passes):
+        for _ in range(SMOOTH_PASSES):
             padded = np.pad(U, ((0, 0), (0, 0), (2, 2)), mode="edge")
             out = np.zeros_like(U)
             for k, w in enumerate(kernel):
@@ -139,10 +147,10 @@ class FrontProfile:
             out[:, above] = 1.0
         return out
 
-    def ds(self, xidx: np.ndarray, s: np.ndarray, span: int = 1) -> np.ndarray:
-        """Centered finite-difference slope along s over +-span bins (wider
-        spans average out bin-level roughness)."""
-        w = span * self.h_s
+    def ds(self, xidx: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Centered finite-difference slope along s over +-SLOPE_SPAN bins
+        (the wide span averages out bin-level roughness)."""
+        w = SLOPE_SPAN * self.h_s
         return (self.eval(xidx, s + w) - self.eval(xidx, s - w)) / (2.0 * w)
 
     def min_slope(self, s_lo: float, s_hi: float) -> np.ndarray:
@@ -153,8 +161,7 @@ class FrontProfile:
 
 
 def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
-                    min_count: float = 5.0, anchor_node: int = 0,
-                    max_gap_cells: float = 1.0,
+                    min_count: float = 5.0,
                     margin_cells: int = 3) -> FrontProfile:
     """Bin every trajectory sample into (x mod L, s = c t - x) cells and
     average.  The s-grid spacing equals the space step h; samples are
@@ -164,8 +171,8 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
 
     Per cell row, bins below the occupancy threshold are filled by linear
     interpolation from their neighbors as long as the gap does not exceed
-    max_gap_cells cell lengths; wider holes abort the extraction.  With
-    anchor=True the s-origin is shifted so U_1(x_{anchor_node}, 0) = 1/2.
+    MAX_GAP_CELLS cell lengths; wider holes abort the extraction.  With
+    anchor=True the s-origin is shifted so U_1(x_{ANCHOR_NODE}, 0) = 1/2.
     """
     window = traj.window
     cell = window.cell
@@ -234,7 +241,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     solid_rng = (best_lo, best_lo + best_len - 1)
 
     # fill undersampled interior bins per row by interpolation in s
-    max_gap = max_gap_cells * cell.L
+    max_gap = MAX_GAP_CELLS * cell.L
     for r in range(n):
         ok = occ[r] >= min_count
         if ok.all():
@@ -244,7 +251,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
         if not ok[0] or not ok[-1] or (len(gaps) and gaps.max() > max_gap):
             raise FrontError(
                 "insufficient occupancy: holes inside the s-grid exceed "
-                f"{max_gap_cells} cell length(s)")
+                f"{MAX_GAP_CELLS} cell length(s)")
         for i in range(m):
             U[i, r, ~ok] = np.interp(s_axis[~ok], good_s, U[i, r, ok])
         occ[r, ~ok] = 0.0
@@ -253,7 +260,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     defect = float(max(0.0, -np.nanmin(incr)))
 
     if anchor:
-        row = U[0, anchor_node]
+        row = U[0, ANCHOR_NODE]
         above = row >= 0.5
         if not above.any() or above.all():
             raise FrontError("cannot anchor: U_1 does not cross 1/2")
@@ -280,8 +287,7 @@ class FitResult:
 
 
 def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
-              tail_level: float = 1e-3, floor: float = 1e-12,
-              min_decades: float = 3.0):
+              tail_level: float = 1e-3):
     """Fit the tail of each component against |s|^tau exp(lam s) phi_i(x).
 
     Returns one FitResult per component: rho_est is the median of the
@@ -293,14 +299,15 @@ def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
     s = profile.s
     phi_arr = phi.as_array()
     top = np.nanmax(U[0], axis=0)
-    mask = (top <= tail_level) & (np.nanmin(U[0], axis=0) >= floor) & (s < 0)
+    mask = ((top <= tail_level) & (np.nanmin(U[0], axis=0) >= DECAY_FLOOR)
+            & (s < 0))
     if mask.sum() < 8:
         raise FrontError("tail window too short for a decay fit")
     span = np.nanmax(U[0][:, mask]) / np.nanmin(U[0][:, mask])
     decades = math.log10(span)
-    if decades < min_decades:
+    if decades < MIN_DECADES:
         raise FrontError(
-            f"tail spans only {decades:.2f} decades (< {min_decades})")
+            f"tail spans only {decades:.2f} decades (< {MIN_DECADES})")
     sw = (float(s[mask].min()), float(s[mask].max()))
 
     results = []
@@ -407,7 +414,7 @@ def _diagonal_tables(profile: FrontProfile):
     return lo, hi, at
 
 
-def convergence_metric(traj, profile: FrontProfile, margin_cells: int = 5,
+def convergence_metric(traj, profile: FrontProfile,
                        shift_bracket: float = 6.0):
     """Per-snapshot inf over shift of the sup distance to the reference
     profile evaluated in the co-moving frame.
@@ -417,7 +424,7 @@ def convergence_metric(traj, profile: FrontProfile, margin_cells: int = 5,
     """
     window = traj.window
     n = window.cell.n
-    margin = margin_cells * n
+    margin = CONVERGENCE_MARGIN_CELLS * n
     c = profile.c
     h = profile.h_s
     _check_same_lattice(h, window.h)

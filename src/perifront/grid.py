@@ -18,7 +18,7 @@ rank-1 update, bit-for-bit the same as factoring anew with gtsv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -150,45 +150,37 @@ class OperatorSpec:
 
 @dataclass
 class BandedMatrix:
-    """Tridiagonal matrix with optional periodic corner entries.
+    """Cyclic tridiagonal matrix.
 
     sub[j] multiplies v[j-1], main[j] multiplies v[j], sup[j] multiplies
-    v[j+1].  With periodic=True the index arithmetic wraps, so sub[0] is the
-    (0, n-1) corner and sup[n-1] the (n-1, 0) corner.
+    v[j+1], with the index arithmetic wrapping: sub[0] is the (0, n-1)
+    corner and sup[n-1] the (n-1, 0) corner.
     """
 
     sub: np.ndarray
     main: np.ndarray
     sup: np.ndarray
-    periodic: bool = True
 
     @property
     def n(self) -> int:
         return len(self.main)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.periodic:
-            return (self.main * v + self.sup * np.roll(v, -1)
-                    + self.sub * np.roll(v, 1))
-        out = self.main * v
-        out[:-1] += self.sup[:-1] * v[1:]
-        out[1:] += self.sub[1:] * v[:-1]
-        return out
+        return (self.main * v + self.sup * np.roll(v, -1)
+                + self.sub * np.roll(v, 1))
 
     def to_dense(self) -> np.ndarray:
         n = self.n
         A = np.diag(self.main)
         A[np.arange(n - 1), np.arange(1, n)] = self.sup[:-1]
         A[np.arange(1, n), np.arange(n - 1)] = self.sub[1:]
-        if self.periodic:
-            A[0, n - 1] += self.sub[0]
-            A[n - 1, 0] += self.sup[n - 1]
+        A[0, n - 1] += self.sub[0]
+        A[n - 1, 0] += self.sup[n - 1]
         return A
 
     def shifted_from(self, sigma: float) -> "BandedMatrix":
         """Return sigma*I - A."""
-        return BandedMatrix(-self.sub, sigma - self.main, -self.sup,
-                            self.periodic)
+        return BandedMatrix(-self.sub, sigma - self.main, -self.sup)
 
     def gershgorin_max(self) -> float:
         """Upper bound of the spectrum's real part via row sums."""
@@ -231,11 +223,11 @@ def assemble_tilted_operator(spec: OperatorSpec) -> BandedMatrix:
             n_required=n_req,
         )
     main = -2.0 * d / h**2 + c
-    return BandedMatrix(sub, main, sup, periodic=True)
+    return BandedMatrix(sub, main, sup)
 
 
 class BandedFactor:
-    """LU factors of a (cyclic) tridiagonal matrix, computed once.
+    """LU factors of a cyclic tridiagonal matrix, computed once.
 
     Periodic corners are removed by a rank-1 bordering: A = B + u v^T with
     B tridiagonal, u = (gamma, 0, ..., 0, beta) and
@@ -254,37 +246,30 @@ class BandedFactor:
             raise SingularSystemError("system too small for banded solve")
         self.A = A
         self._norm = A.norm_inf()
-        main = A.main
-        if A.periodic:
-            alpha = A.sub[0]      # (0, n-1) corner
-            beta = A.sup[n - 1]   # (n-1, 0) corner
-            gamma = -A.main[0] if A.main[0] != 0.0 else 1.0
-            main = A.main.copy()
-            main[0] -= gamma
-            main[-1] -= alpha * beta / gamma
+        alpha = A.sub[0]      # (0, n-1) corner
+        beta = A.sup[n - 1]   # (n-1, 0) corner
+        gamma = -A.main[0] if A.main[0] != 0.0 else 1.0
+        main = A.main.copy()
+        main[0] -= gamma
+        main[-1] -= alpha * beta / gamma
         *self._lu, info = _gttrf(A.sub[1:], main, A.sup[:-1])
         if info != 0:
             raise SingularSystemError(
                 f"tridiagonal factor has a zero pivot at row {info}")
-        self._z = None
-        if A.periodic:
-            u = np.zeros(n)
-            u[0] = gamma
-            u[-1] = beta
-            self._z = self._gttrs(u)
-            self._ratio = alpha / gamma
-            self._denom = 1.0 + (self._z[0] + self._ratio * self._z[-1])
-            if abs(self._denom) < 1e-14:
-                raise SingularSystemError(
-                    "bordered correction became singular")
+        u = np.zeros(n)
+        u[0] = gamma
+        u[-1] = beta
+        self._z = self._gttrs(u)
+        self._ratio = alpha / gamma
+        self._denom = 1.0 + (self._z[0] + self._ratio * self._z[-1])
+        if abs(self._denom) < 1e-14:
+            raise SingularSystemError("bordered correction became singular")
 
     def _gttrs(self, r: np.ndarray) -> np.ndarray:
         return _gttrs(*self._lu, r)[0]
 
     def _raw_solve(self, r: np.ndarray) -> np.ndarray:
         y = self._gttrs(r)
-        if self._z is None:
-            return y
         vy = y[0] + self._ratio * y[-1]
         return y - self._z * (vy / self._denom)
 
@@ -310,7 +295,7 @@ class BandedFactor:
 
 
 def solve_cyclic_banded(A: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs once for a (cyclic) tridiagonal A; callers solving
+    """Solve A x = rhs once for a cyclic tridiagonal A; callers solving
     with the same A repeatedly should keep A.factor() instead."""
     return A.factor().solve(rhs)
 

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+DU_SAMPLES = 3     # lattice points per component for |dh/du| (affine in u)
+BOX_SAMPLES = 5    # and on [0, 1] for reaction_lipschitz and H3
+
+
 def dependency_lattice(deps, pts, m: int, n: int, fill: float = 0.0):
     """Every corner of the pts-lattice over the components deps, each
     repeated over the n cell nodes, the other components held at fill.
@@ -113,7 +117,7 @@ class PolyH:
             out += np.einsum("lp,lp->p", Qs, u)
         return out
 
-    def max_abs_du(self, box_lo: float, box_hi: float, samples: int = 3) -> float:
+    def max_abs_du(self, box_lo: float, box_hi: float) -> float:
         """max over all nodes, all k, and a u-lattice of |dh/du_k|.
 
         The derivative is affine in u, so lattice corners realize the max;
@@ -123,7 +127,7 @@ class PolyH:
         those alone.
         """
         m, n = self.b.shape
-        pts = np.linspace(box_lo, box_hi, samples)
+        pts = np.linspace(box_lo, box_hi, DU_SAMPLES)
         best = 0.0
         for k in range(m):
             deps = sorted({l for j, l in self._pairs if j == k}
@@ -209,12 +213,12 @@ class ReactionModel:
         constant), ascending."""
         return sorted({i} | self.h[i].reads)
 
-    def reaction_lipschitz(self, samples: int = 5) -> float:
+    def reaction_lipschitz(self) -> float:
         """max |dF_i/du_i| over the box lattice; bounds the explicit step.
 
         dF_i/du_i = h_i + u_i dh_i/du_i, so row i samples the lattice over
         row_reads(i) alone."""
-        pts = np.linspace(0.0, 1.0, samples)
+        pts = np.linspace(0.0, 1.0, BOX_SAMPLES)
         best = 0.0
         for i, hi in enumerate(self.h):
             u, xidx = dependency_lattice(self.row_reads(i), pts, self.m,
@@ -279,11 +283,11 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _cooperativity(model: ReactionModel, samples: int = 5):
+def _cooperativity(model: ReactionModel):
     """min over i != k, the nodes and the [0, 1] lattice of J_ik(u), with
     its witness (i, k, the lattice point u, node); row i samples the
     lattice over row_reads(i) alone."""
-    pts = np.linspace(0.0, 1.0, samples)
+    pts = np.linspace(0.0, 1.0, BOX_SAMPLES)
     n = model.cell.n
     worst, wit = np.inf, None
     for i in range(model.m):
@@ -300,7 +304,7 @@ def _cooperativity(model: ReactionModel, samples: int = 5):
     return worst, wit
 
 
-def check_hypotheses(model: ReactionModel, e: int = 1,
+def check_hypotheses(model: ReactionModel,
                      run_h5_heuristic: bool = True) -> HypothesisReport:
     """Evaluate the structural and spectral standing assumptions.
 
@@ -349,7 +353,7 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
             None if worst >= -1e-12 else wit,
             "off-diagonal Jacobian >= 0 on [0,1]^m lattice")
 
-    disp = Dispersion(model, e=e)
+    disp = Dispersion(model)
 
     # H4: kappa_1(0) > 0
     k0 = disp.kappa(0, 0.0)
@@ -383,7 +387,7 @@ def check_hypotheses(model: ReactionModel, e: int = 1,
 
     # H8: coupled Perron at the upper state
     try:
-        pair = principal_eig_coupled(model, at="one", e=e)
+        pair = principal_eig_coupled(model, at="one")
         mu = pair.value
         rep.add("H8", "pass" if mu < 0.0 else "fail", -mu,
                 None if mu < 0.0 else ("mu_minus", mu),
@@ -436,7 +440,7 @@ def _cell_imex_step(cell: CellGrid, d: np.ndarray, q: np.ndarray,
             d=PeriodicField(cell, di), q=PeriodicField(cell, qi),
             eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
         factors.append(BandedMatrix(
-            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup, True).factor())
+            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup).factor())
 
     def step(u: np.ndarray, Fu: np.ndarray) -> np.ndarray:
         new = np.empty_like(u)
@@ -554,9 +558,8 @@ class TransformedCompetition:
         return (v1 * self.u1_star.values, (1.0 - v2) * self.u2_star.values)
 
 
-def competition_to_cooperative(spec: CompetitionSpec,
-                               tol: float = 1e-10) -> TransformedCompetition:
-    u1s, u2s = competition_steady_states(spec, tol)
+def competition_to_cooperative(spec: CompetitionSpec) -> TransformedCompetition:
+    u1s, u2s = competition_steady_states(spec)
     cell = spec.cell
     n = cell.n
     a11s = spec.a11 * u1s.values
@@ -596,7 +599,7 @@ def inverse_transform(tc: TransformedCompetition, coop_state: np.ndarray,
     return np.stack([u1, u2])
 
 
-def check_competition_assumptions(tc: TransformedCompetition, e: int = 1,
+def check_competition_assumptions(tc: TransformedCompetition,
                                   run_a2_heuristic: bool = True) -> HypothesisReport:
     """Check (A1) and (A3)-(A6); (A2) is reported not-checkable with a
     heuristic sweep of periodic initial data."""
@@ -608,7 +611,7 @@ def check_competition_assumptions(tc: TransformedCompetition, e: int = 1,
     def lam0(d, q, b):
         return principal_eig_scalar(OperatorSpec(
             d=PeriodicField(cell, d), q=PeriodicField(cell, q),
-            eta=PeriodicField(cell, b), lam=0.0, e=e)).value
+            eta=PeriodicField(cell, b), lam=0.0)).value
 
     l1 = lam0(spec.d1, spec.a1, spec.b1)
     l2 = lam0(spec.d2, spec.a2, spec.b2)
@@ -627,7 +630,7 @@ def check_competition_assumptions(tc: TransformedCompetition, e: int = 1,
             ("node", int(np.argmin(np.minimum(m1, m2)))),
             "a11 u1* > a12 u2* and a22 u2* > a21 u1*")
 
-    disp = Dispersion(tc.model, e=e)
+    disp = Dispersion(tc.model)
     try:
         c0, lam_p0 = disp.critical_speed()
         gap = disp.spectral_gap(lam_p0)
@@ -654,7 +657,7 @@ def check_competition_assumptions(tc: TransformedCompetition, e: int = 1,
 
     c_minus, c_plus = boundary_speeds_A6(
         cell, spec.d1, tc.model.q[0], tc.a11s,
-        spec.d2, tc.model.q[1], tc.a22s, e=e)
+        spec.d2, tc.model.q[1], tc.a22s)
     rep.add("A6", "pass" if c_minus + c_plus > 0.0 else "fail",
             c_minus + c_plus,
             None if c_minus + c_plus > 0.0 else ("speeds", (c_minus, c_plus)),

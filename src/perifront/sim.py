@@ -46,7 +46,8 @@ __all__ = [
     "run",
 ]
 
-TOL_BOX = 1e-8
+TOL_BOX = 1e-8         # roundoff allowed outside the box [0, 1]
+GUARD_CELLS = 10       # width of the downwind guard band
 CSV_BLOCK_ROWS = 2048
 
 
@@ -176,9 +177,7 @@ class StepperConfig:
     snapshot_dt: float = 0.5
     left_value: float = 1.0
     right_value: float = 0.0
-    guard_cells: int = 10
     guard_level: float = 0.5     # front-position guard level
-    box_tol: float = TOL_BOX
 
     def validate_against(self, model) -> None:
         lip = model.reaction_lipschitz()
@@ -268,7 +267,7 @@ class Stepper:
         for comps, lu in self._solves:
             new[comps] = lu.solve(rhs[comps].T).T
         lo, hi = float(new.min()), float(new.max())
-        if lo < -cfg.box_tol or hi > 1.0 + cfg.box_tol:
+        if lo < -TOL_BOX or hi > 1.0 + TOL_BOX:
             raise PerifrontError(
                 f"box invariance violated (min {lo:.3e}, max {hi:.3e}): "
                 "dt too large for this reaction")
@@ -277,29 +276,26 @@ class Stepper:
     def guard_triggered(self, state: SimState) -> bool:
         if self.cfg.right_value >= self.cfg.guard_level:
             return False           # not a front-tracking run
-        gb = self.window.npts - self.cfg.guard_cells * self.model.cell.n
+        gb = self.window.npts - GUARD_CELLS * self.model.cell.n
         return bool(np.any(state.u[0, gb:] > self.cfg.guard_level))
 
 
 def build_initial_front_like(model, window: WindowGrid, c: float,
                              k: float = 1.0, eps0: float = 0.1,
-                             disp=None, e: int = 1) -> SimState:
+                             disp=None) -> SimState:
     """Front-like initial data: componentwise min of the plateau (1 - eps0)
-    and the decaying envelope k |x e|^tau exp(-lam_c x e) Phi_{lam_c}(x),
-    with tau = 1 exactly at the critical speed (the class of data whose
-    Cauchy solutions converge to a translate of the front).  |x e|^tau is
-    floored at 1 to avoid the spurious zero at the origin."""
+    and the decaying envelope k |x|^tau exp(-lam_c x) Phi_{lam_c}(x), with
+    tau = 1 exactly at the critical speed (the class of data whose Cauchy
+    solutions converge to a translate of the front).  |x|^tau is floored
+    at 1 to avoid the spurious zero at the origin.  Runs are rightward:
+    a leftward front is the rightward one of the model with x reflected."""
     from .dispersion import Dispersion
 
     if not (0.0 < eps0 < 0.5):
         raise PerifrontError("eps0 must lie in (0, 1/2)")
     if k <= 0.0:
         raise PerifrontError("k must be positive")
-    if e != 1:
-        raise PerifrontError(
-            "leftward runs are normalized away: flip the direction e in the "
-            "spectral modules instead of simulating c < 0")
-    disp = disp or Dispersion(model, e=e)
+    disp = disp or Dispersion(model)
     c0, _ = disp.critical_speed()
     if c < c0 - 1e-12:
         raise PerifrontError(f"c = {c} below critical speed {c0}")
@@ -357,7 +353,8 @@ def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
                     f"enlarge the window to window_cells >= {cells} or "
                     "shorten the run", window_cells=cells)
     if csv_path is not None and not stream:
-        traj.save_csv(csv_path)
+        _write_snapshot_csv(csv_path, window.x, state.u.shape[0],
+                            zip(traj.times, traj.snapshots))
     return traj
 
 
@@ -377,4 +374,4 @@ def _window_fitting(stepper, start: SimState, state: SimState,
     x0, x1 = lead(start.u), lead(state.u)
     x_end = x1 + (x1 - x0) / (state.t - start.t) * (T - state.t)
     travel = (x_end - window.x_lo) / window.cell.L
-    return math.ceil(1.5 * travel) + stepper.cfg.guard_cells
+    return math.ceil(1.5 * travel) + GUARD_CELLS

@@ -26,7 +26,7 @@ def disp(model):
 
 class TestSmoothstep:
     def test_derivative_bound(self):
-        chi = smoothstep_cutoff(-2.0, 2.0)
+        chi, _ = smoothstep_cutoff(-2.0, 2.0)
         s = np.linspace(-3, 3, 101)
         v = chi(s)
         assert v[0] == 1.0 and v[-1] == 0.0
@@ -256,7 +256,7 @@ class TestSandwich:
             u = cand.evaluator(t, x)
             sh = cand.params["c"] * t - x + sigma * (1 - np.exp(-beta * t))
             idx = np.rint(x / model.cell.h).astype(int) % model.cell.n
-            base = profile.smoothed(2).eval(idx, sh, clamp=True)
+            base = profile.smoothed().eval(idx, sh, clamp=True)
             gap = np.max(np.abs(u - base))
             assert gap <= 0.01 * 3.1 * np.exp(-beta * t) + 1e-12
 

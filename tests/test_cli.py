@@ -88,6 +88,20 @@ class TestCertifyCommand:
         res = read_json(out / "results.json")
         assert all(rep["verdict"] == "pass" for rep in res["reports"])
 
+    def test_reported_tolerances_are_enforced(self, tmp_path):
+        # results.json reports the constants that the solvers and the
+        # certificate check enforce, at their established values
+        from perifront import certify, dispersion, eigen
+        out = tmp_path / "cert"
+        main(["certify", "--out", str(out)])
+        tol = read_json(out / "results.json")["tolerances"]
+        enforced = {"eigen_scalar": (eigen.SCALAR_TOL, 1e-10),
+                    "eigen_coupled": (eigen.COUPLED_TOL, 1e-8),
+                    "cascade_residual": (dispersion.CASCADE_RESID_TOL, 1e-8),
+                    "cert_allowance_factor": (certify.C_ALLOW, 10.0)}
+        for key, (constant, value) in enforced.items():
+            assert tol[key] == constant == value, key
+
 
 class TestCompetitionCommand:
     def test_strong_pipeline(self, tmp_path):

@@ -46,7 +46,7 @@ class TestScalar:
         from perifront import assemble_tilted_operator
         g = make_cell_grid(1.0, 64)
         spec = spec_of(g, 1.0, 0.3, lambda x: np.sin(2 * np.pi * x), lam=0.7)
-        pair = principal_eig_scalar(spec, tol=1e-10)
+        pair = principal_eig_scalar(spec)
         A = assemble_tilted_operator(spec)
         resid = np.max(np.abs(A.matvec(pair.vector.values)
                               - pair.value * pair.vector.values))
@@ -109,7 +109,7 @@ class TestCoupled:
         model = make_model("periodic2", make_cell_grid(1.0, 64))
         pair = principal_eig_coupled(model, at="one")
         J = model.jacobian(np.ones((2, 64)), np.arange(64))
-        M = _assemble_coupled(model.cell, model.d, model.q, J, 1)
+        M = _assemble_coupled(model.cell, model.d, model.q, J)
         target = np.max(np.linalg.eigvals(M.toarray()).real)
         assert abs(pair.value - target) <= 1e-6
         assert pair.value < 0.0

@@ -82,14 +82,14 @@ class TestCyclicSolve:
     def test_identity(self):
         rng = np.random.default_rng(0)
         n = 64
-        A = BandedMatrix(np.zeros(n), np.ones(n), np.zeros(n), periodic=True)
+        A = BandedMatrix(np.zeros(n), np.ones(n), np.zeros(n))
         rhs = rng.standard_normal(n)
         assert np.allclose(solve_cyclic_banded(A, rhs), rhs, atol=1e-12)
 
     def test_minus_laplacian_plus_identity(self):
         g = make_cell_grid(1.0, 64)
         L = assemble_tilted_operator(constant_spec(g))
-        A = BandedMatrix(-L.sub, 1.0 - L.main, -L.sup, periodic=True)
+        A = BandedMatrix(-L.sub, 1.0 - L.main, -L.sup)
         x = solve_cyclic_banded(A, np.ones(64))
         assert np.allclose(x, 1.0, atol=1e-12)
 
@@ -99,7 +99,7 @@ class TestCyclicSolve:
         sub = rng.uniform(0.1, 1.0, n)
         sup = rng.uniform(0.1, 1.0, n)
         main = sub + sup + rng.uniform(0.5, 1.0, n)   # diagonally dominant
-        A = BandedMatrix(sub, main, sup, periodic=True)
+        A = BandedMatrix(sub, main, sup)
         v = rng.standard_normal(n)
         x = solve_cyclic_banded(A, A.matvec(v))
         assert np.max(np.abs(x - v)) <= 1e-10
@@ -108,14 +108,14 @@ class TestCyclicSolve:
         rng = np.random.default_rng(2)
         g = make_cell_grid(1.0, 128)
         L = assemble_tilted_operator(constant_spec(g, q=0.2, eta=0.0))
-        A = BandedMatrix(-L.sub, 1.0 - L.main, -L.sup, periodic=True)
+        A = BandedMatrix(-L.sub, 1.0 - L.main, -L.sup)
         rhs = rng.standard_normal(128)
         x = solve_cyclic_banded(A, rhs)
         assert np.max(np.abs(A.matvec(x) - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     def test_singular_raises(self):
         n = 32
-        A = BandedMatrix(np.zeros(n), np.zeros(n), np.zeros(n), periodic=True)
+        A = BandedMatrix(np.zeros(n), np.zeros(n), np.zeros(n))
         with pytest.raises(SingularSystemError):
             solve_cyclic_banded(A, np.ones(n))
 
@@ -125,7 +125,7 @@ class TestCyclicSolve:
         sub = rng.uniform(0.1, 1.0, n)
         sup = rng.uniform(0.1, 1.0, n)
         main = -(sub + sup) - rng.uniform(1.0, 2.0, n)
-        A = BandedMatrix(sub, main, sup, periodic=True)
+        A = BandedMatrix(sub, main, sup)
         rhs = rng.standard_normal(n)
         x = solve_cyclic_banded(A, rhs)
         assert np.allclose(np.linalg.solve(A.to_dense(), rhs), x, atol=1e-9)

@@ -174,6 +174,23 @@ class TestCsvStream:
         assert path.is_dir()
         assert multiprocessing.active_children() == []
 
+    def test_empty_trajectory_fallback_matches_stream(self, constant2,
+                                                      tmp_path, monkeypatch):
+        # store_from > T stores no snapshot: both paths write the header
+        win = WindowGrid(constant2.cell, 20)
+        cfg = StepperConfig(dt=0.01, snapshot_dt=0.1)
+        stream = tmp_path / "stream.csv"
+        run(constant2, smooth_step(win), win, cfg, 0.3, store_from=1.0,
+            csv_path=stream)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        fallback = tmp_path / "fallback.csv"
+        traj = run(constant2, smooth_step(win), win, cfg, 0.3,
+                   store_from=1.0, csv_path=fallback)
+        assert traj.snapshots == []
+        assert fallback.read_bytes() == stream.read_bytes() \
+            == b"# t, x, u_1, u_2\n"
+
 
 class TestComparisonAndBox:
     def test_order_preservation(self, constant2):
