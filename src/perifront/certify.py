@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CertificationError, PerifrontError
 from .eigen import principal_eig_coupled
 from .dispersion import bisect
+from .fronts import front_position
 from .models import _h7_scan, dependency_lattice, json_native
 
 __all__ = [
@@ -455,7 +456,7 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
     profile = profile.smoothed()
     c = profile.c
     c0, lam0 = disp.critical_speed()
-    critical = abs(c - c0) <= 1e-10
+    critical = disp.tau(c) == 1
 
     psi_pair = psi_pair or principal_eig_coupled(model, at="one")
     mu = psi_pair.value
@@ -623,7 +624,6 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
     upper) for the first bracketing pair; raises if none brackets, without
     deciding whether the data or the search range is at fault.
     """
-    from .fronts import front_position
     window = traj.window
     n = model.cell.n
     inner = slice(SEED_MARGIN_CELLS * n, window.npts - SEED_MARGIN_CELLS * n)
@@ -631,6 +631,7 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
     psi_pair = principal_eig_coupled(model, at="one")
 
     snap = {round(t, 9): u for t, u in zip(traj.times, traj.snapshots)}
+    beta = None
     for t_c in SEED_TIMES:
         u_tc = snap.get(round(t_c, 9))
         if u_tc is None:
@@ -638,9 +639,12 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
         # phase of the simulated front at t_c, in profile coordinates
         pos = front_position(u_tc[0], window.x, 0.5)
         s0 = -(profile.c * t_c - pos)
-        beta = build_stability_sandwich(model, disp, profile, "lower",
-                                        delta=delta, psi_pair=psi_pair,
-                                        s0=s0).params["beta"]
+        if beta is None:
+            # beta comes from the eps search for (disp, profile.c, mu-),
+            # not from t_c or s0: one probe serves every t_c
+            beta = build_stability_sandwich(model, disp, profile, "lower",
+                                            delta=delta, psi_pair=psi_pair,
+                                            s0=s0).params["beta"]
         for fac in SEED_SIGMA_FACTORS:
             sigma = fac / beta
             lower = build_stability_sandwich(model, disp, profile, "lower",

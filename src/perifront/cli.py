@@ -4,8 +4,9 @@ command-line flags.
 Every run writes resolved-config.json (all defaults made explicit),
 results.json (machine-readable outcomes, including the tolerance set in
 force) and per-experiment CSV bundles with '#'-prefixed header lines and
-17-significant-digit numerics.  Exit codes: 0 all requested checks passed,
-1 a check failed, 2 configuration error, 3 numerical failure.
+17-significant-digit numerics; a failed run leaves none of these behind.
+Exit codes: 0 all requested checks passed, 1 a check failed,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -58,16 +59,33 @@ DEFAULTS = {
     "out": "perifront-out",
 }
 
-# Profile binning needs many snapshots per cell passage: at the default
-# snapshot_dt the front travels 0.625 cells between snapshots, which
-# leaves most s-bins of every cell row empty.
-FRONT_DEFAULTS = {"snapshot_dt": 0.03}
-
-SIMULATE_OUTPUTS = ("snapshots.csv", "fronts.csv", "results.json",
-                    "resolved-config.json")
-
 COMPETITION_NAMES = ("competition-const", "competition-strong",
                      "competition-periodic")
+
+# Each subcommand's defaults over DEFAULTS.
+COMMAND_DEFAULTS = {
+    "dispersion": {},
+    "simulate": {},
+    # profile binning needs many snapshots per cell passage: at the default
+    # snapshot_dt the front travels 0.625 cells between snapshots, which
+    # leaves most s-bins of every cell row empty
+    "front": {"snapshot_dt": 0.03},
+    "certify": {},
+    "competition": {"model": "competition-strong"},
+    "hypotheses": {},
+}
+
+# The files each subcommand writes into its output directory: its CSV
+# tables, then the JSON files that main writes for all of them.
+JSON_OUTPUTS = ("resolved-config.json", "results.json")
+OUTPUTS = {
+    "dispersion": ("dispersion.csv",),
+    "simulate": ("snapshots.csv", "fronts.csv"),
+    "front": ("profile.csv", "fits.csv"),
+    "certify": ("margins.csv",),
+    "competition": (),
+    "hypotheses": (),
+}
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -78,13 +96,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
             _write_rows(fh, rows)
 
 
-def _resolve_config(args, defaults=DEFAULTS) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve_config(args) -> dict:
+    """DEFAULTS and the subcommand's defaults, then the --config file,
+    then the flags."""
+    cfg = {**DEFAULTS, **COMMAND_DEFAULTS[args.command]}
+    if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
     for key in DEFAULTS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -105,26 +125,24 @@ def _build_model(cfg):
     return make_model(name, cell), None
 
 
-def _emit(outdir: Path, cfg: dict, results: dict, ok: bool) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "resolved-config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-    results["tolerances"] = TOLERANCES
-    results["ok"] = bool(ok)
-    with open(outdir / "results.json", "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-    return 0 if ok else 1
+def _front_run(cfg, model, disp, **run_kw):
+    """The Cauchy run from front-like data at speed c, and the speed
+    (with its standard error) fitted over t in [0.3 T, T]."""
+    window = WindowGrid(model.cell, int(cfg["window_cells"]))
+    stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
+    state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
+                                     cfg["eps0"], disp=disp)
+    traj = run(model, state, window, stepcfg, cfg["T"], **run_kw)
+    c_est, stderr = measure_speed(traj, 0, cfg["level"],
+                                  (0.3 * cfg["T"], cfg["T"]))
+    return traj, c_est, stderr
 
 
-def cmd_dispersion(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = Path(cfg["out"])
-    model, _ = _build_model(cfg)
+def cmd_dispersion(cfg, outdir, model, tc):
     disp = Dispersion(model)
     c0, lam0 = disp.critical_speed()
     lams = np.linspace(0.0, 2.0 * lam0, 41)
     tab = disp.table(lams)
-    outdir.mkdir(parents=True, exist_ok=True)
     cols = ", ".join(f"kappa_{i + 1}" for i in range(model.m))
     ratio = np.divide(tab["kappa"][0], lams, out=np.full_like(lams, np.inf),
                       where=lams > 0)
@@ -141,72 +159,44 @@ def cmd_dispersion(args) -> int:
         "H6_ok": bool(h6_gap > 0.0),
         "H6_gap": h6_gap,
     }
-    return _emit(outdir, cfg, results, ok=True)
+    return results, True
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = Path(cfg["out"])
-    try:
-        model, _ = _build_model(cfg)
-        disp = Dispersion(model)
-        window = WindowGrid(model.cell, int(cfg["window_cells"]))
-        stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
-        state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
-                                         cfg["eps0"], disp=disp)
-        outdir.mkdir(parents=True, exist_ok=True)
-        traj = run(model, state, window, stepcfg, cfg["T"],
-                   csv_path=outdir / "snapshots.csv")
-        c_est, stderr = measure_speed(traj, 0, cfg["level"],
-                                      (0.3 * cfg["T"], cfg["T"]))
-        rows = []
-        prev = None
-        skipped = 0
-        for t, u in zip(traj.times, traj.snapshots):
-            try:
-                pos = front_position(u[0], window.x, cfg["level"])
-            except PerifrontError:
-                skipped += 1         # no level crossing: no fronts.csv row
-                continue
-            c_run = (pos - prev[1]) / (t - prev[0]) if prev else float("nan")
-            rows.append((t, pos, c_run))
-            prev = (t, pos)
-        _write_csv(outdir / "fronts.csv", "t, position, c_running", rows)
-        c0, _ = disp.critical_speed()
-        target = max(cfg["c"], c0)
-        ok = abs(c_est - target) <= TOLERANCES["speed_rel"] * target
-        results = {"c_est": c_est, "c_stderr": stderr, "c_expected": target,
-                   "fronts_skipped": skipped}
-        return _emit(outdir, cfg, results, ok)
-    except BaseException:
-        # a failed run leaves no outputs in outdir, neither its own
-        # nor an earlier run's
-        for name in SIMULATE_OUTPUTS:
-            if (outdir / name).is_file():
-                (outdir / name).unlink()
-        raise
-
-
-def cmd_front(args) -> int:
-    cfg = _resolve_config(args, {**DEFAULTS, **FRONT_DEFAULTS})
-    outdir = Path(cfg["out"])
-    model, _ = _build_model(cfg)
+def cmd_simulate(cfg, outdir, model, tc):
     disp = Dispersion(model)
-    window = WindowGrid(model.cell, int(cfg["window_cells"]))
-    stepcfg = StepperConfig(dt=cfg["dt"], snapshot_dt=cfg["snapshot_dt"])
-    state = build_initial_front_like(model, window, cfg["c"], cfg["k"],
-                                     cfg["eps0"], disp=disp)
+    traj, c_est, stderr = _front_run(cfg, model, disp,
+                                     csv_path=outdir / "snapshots.csv")
+    rows = []
+    prev = None
+    skipped = 0
+    for t, u in zip(traj.times, traj.snapshots):
+        try:
+            pos = front_position(u[0], traj.window.x, cfg["level"])
+        except PerifrontError:
+            skipped += 1         # no level crossing: no fronts.csv row
+            continue
+        c_run = (pos - prev[1]) / (t - prev[0]) if prev else float("nan")
+        rows.append((t, pos, c_run))
+        prev = (t, pos)
+    _write_csv(outdir / "fronts.csv", "t, position, c_running", rows)
+    c0, _ = disp.critical_speed()
+    target = max(cfg["c"], c0)
+    ok = abs(c_est - target) <= TOLERANCES["speed_rel"] * target
+    results = {"c_est": c_est, "c_stderr": stderr, "c_expected": target,
+               "fronts_skipped": skipped}
+    return results, ok
+
+
+def cmd_front(cfg, outdir, model, tc):
+    disp = Dispersion(model)
     # only t >= 0.3 T enters the speed fit and the profile
-    traj = run(model, state, window, stepcfg, cfg["T"],
-               store_from=0.3 * cfg["T"])
-    c_est, _ = measure_speed(traj, 0, cfg["level"], (0.3 * cfg["T"], cfg["T"]))
+    traj, c_est, _ = _front_run(cfg, model, disp,
+                                store_from=0.3 * cfg["T"])
     prof = extract_profile(traj, c_est, t_window=(0.5 * cfg["T"], cfg["T"]),
                            min_count=3)
-    c0, lam0 = disp.critical_speed()
-    tau = 1 if abs(cfg["c"] - c0) <= 1e-10 else 0
+    tau = disp.tau(cfg["c"])
     lam = disp.lambda_c(cfg["c"])
     fits = fit_decay(prof, disp.cascade(lam), lam, tau)
-    outdir.mkdir(parents=True, exist_ok=True)
     n, ns = model.cell.n, len(prof.s)
     cols = ", ".join(f"U_{i + 1}" for i in range(model.m))
     _write_csv(outdir / "profile.csv", f"x, s, {cols}",
@@ -224,13 +214,10 @@ def cmd_front(args) -> int:
                "fits": [{"component": f.component + 1,
                          "lambda_est": f.lambda_est, "rho_est": f.rho_est,
                          "goodness": f.goodness} for f in fits]}
-    return _emit(outdir, cfg, results, ok)
+    return results, ok
 
 
-def cmd_certify(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = Path(cfg["out"])
-    model, _ = _build_model(cfg)
+def cmd_certify(cfg, outdir, model, tc):
     disp = Dispersion(model)
     reports = []
     sub = build_sub_supercritical(model, disp, cfg["c"], cfg["delta"],
@@ -238,7 +225,6 @@ def cmd_certify(args) -> int:
     reports.append(residual_sign_check(model, sub))
     sup = build_super_linearized(model, disp, cfg["c"], cfg["k"])
     reports.append(residual_sign_check(model, sup))
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for rep in reports:
         for i, mg in enumerate(rep.margins):
@@ -246,14 +232,10 @@ def cmd_certify(args) -> int:
                          0.0, mg))
     _write_csv(outdir / "margins.csv", "component, s, t, margin", rows)
     ok = all(rep.verdict for rep in reports)
-    results = {"reports": [rep.as_dict() for rep in reports]}
-    return _emit(outdir, cfg, results, ok)
+    return {"reports": [rep.as_dict() for rep in reports]}, ok
 
 
-def cmd_hypotheses(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = Path(cfg["out"])
-    model, tc = _build_model(cfg)
+def cmd_hypotheses(cfg, outdir, model, tc):
     rep = check_hypotheses(model)
     results = {"hypotheses": rep.as_dict()}
     ok = rep.ok()
@@ -261,18 +243,15 @@ def cmd_hypotheses(args) -> int:
         arep = check_competition_assumptions(tc)
         results["assumptions"] = arep.as_dict()
         ok = ok and arep.ok()
-    return _emit(outdir, cfg, results, ok)
+    return results, ok
 
 
-def cmd_competition(args) -> int:
-    cfg = _resolve_config(args)
-    if cfg["model"] not in COMPETITION_NAMES:
-        cfg["model"] = "competition-strong"
-    outdir = Path(cfg["out"])
-    spec = make_competition_spec(cfg["model"], make_cell_grid(cfg["L"], cfg["n"]))
-    tc = competition_to_cooperative(spec)
+def cmd_competition(cfg, outdir, model, tc):
+    if tc is None:
+        raise ValueError(f"model {cfg['model']!r} is not a competition "
+                         f"model: use one of {', '.join(COMPETITION_NAMES)}")
     arep = check_competition_assumptions(tc)
-    disp = Dispersion(tc.model)
+    disp = Dispersion(model)
     c0, lam0 = disp.critical_speed()
     results = {
         "u1_star_minmax": [tc.u1_star.min(), tc.u1_star.max()],
@@ -281,7 +260,7 @@ def cmd_competition(args) -> int:
         "lambda_plus0": lam0,
         "assumptions": arep.as_dict(),
     }
-    return _emit(outdir, cfg, results, arep.ok("A1", "A4", "A5", "A6"))
+    return results, arep.ok("A1", "A4", "A5", "A6")
 
 
 def main(argv=None) -> int:
@@ -290,24 +269,39 @@ def main(argv=None) -> int:
         description="periodic-media front toolkit: spectral quantities, "
                     "Cauchy runs, front fits and certification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("dispersion", cmd_dispersion),
-                     ("simulate", cmd_simulate),
-                     ("front", cmd_front),
-                     ("certify", cmd_certify),
-                     ("competition", cmd_competition),
-                     ("hypotheses", cmd_hypotheses)]:
+    for name in COMMAND_DEFAULTS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         for key, value in DEFAULTS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            type=type(value), default=None)
-        p.set_defaults(func=fn)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        outdir = Path(cfg["out"])
+        try:
+            model, tc = _build_model(cfg)
+            outdir.mkdir(parents=True, exist_ok=True)
+            # cmd_<name> is looked up per call, so that a wrapper bound
+            # to the module attribute sees the call
+            command = globals()["cmd_" + args.command]
+            results, ok = command(cfg, outdir, model, tc)
+            results["tolerances"] = TOLERANCES
+            results["ok"] = bool(ok)
+            for name, data in zip(JSON_OUTPUTS, (cfg, results)):
+                with open(outdir / name, "w") as fh:
+                    json.dump(data, fh, indent=2, sort_keys=True)
+        except BaseException:
+            # a failed run leaves no outputs in outdir, neither its own
+            # nor an earlier run's
+            for name in OUTPUTS[args.command] + JSON_OUTPUTS:
+                if (outdir / name).is_file():
+                    (outdir / name).unlink()
+            raise
+        return 0 if ok else 1
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

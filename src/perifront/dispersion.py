@@ -217,14 +217,20 @@ class Dispersion:
         self._crit = (ratio(lam0), lam0)
         return self._crit
 
-    def lambda_c(self, c: float) -> float:
-        """Smallest positive root of kappa_1(lam) - c*lam for c >= c_plus0."""
-        c0, lam0 = self.critical_speed()
+    def tau(self, c: float) -> int:
+        """1 at the critical speed (|c - c_plus0| <= 1e-10), 0 above it;
+        raises below it (c < c_plus0 - 1e-12), where no front exists."""
+        c0, _ = self.critical_speed()
         if c < c0 - 1e-12:
             raise PerifrontError(
                 f"c = {c:.6g} below the critical speed {c0:.6g}: "
                 "no decay exponent (no front exists)")
-        if abs(c - c0) <= 1e-10:
+        return 1 if abs(c - c0) <= 1e-10 else 0
+
+    def lambda_c(self, c: float) -> float:
+        """Smallest positive root of kappa_1(lam) - c*lam for c >= c_plus0."""
+        _, lam0 = self.critical_speed()
+        if self.tau(c):
             return lam0
         g = lambda lam: self.kappa(0, lam) - c * lam
         # g(0+) = kappa_1(0) > 0, g(lam0) = lam0 (c0 - c) < 0

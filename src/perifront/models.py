@@ -24,6 +24,7 @@ from .errors import PerifrontError
 from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
                    assemble_tilted_operator, first_derivative, make_cell_grid)
 from .eigen import principal_eig_scalar, principal_eig_coupled
+from .dispersion import Dispersion, boundary_speeds_A6
 
 __all__ = [
     "PolyH",
@@ -314,8 +315,6 @@ def check_hypotheses(model: ReactionModel,
     reported not-checkable, with a cell-periodic relaxation run as
     heuristic evidence when requested.
     """
-    from .dispersion import Dispersion  # local import to avoid a cycle
-
     rep = HypothesisReport()
     n = model.cell.n
     xidx = np.arange(n)
@@ -553,10 +552,6 @@ class TransformedCompetition:
         return (u1 / self.u1_star.values,
                 (self.u2_star.values - u2) / self.u2_star.values)
 
-    def inverse(self, v1, v2):
-        """Cooperative state -> competition densities."""
-        return (v1 * self.u1_star.values, (1.0 - v2) * self.u2_star.values)
-
 
 def competition_to_cooperative(spec: CompetitionSpec) -> TransformedCompetition:
     u1s, u2s = competition_steady_states(spec)
@@ -603,8 +598,6 @@ def check_competition_assumptions(tc: TransformedCompetition,
                                   run_a2_heuristic: bool = True) -> HypothesisReport:
     """Check (A1) and (A3)-(A6); (A2) is reported not-checkable with a
     heuristic sweep of periodic initial data."""
-    from .dispersion import Dispersion, boundary_speeds_A6
-
     spec, cell = tc.spec, tc.spec.cell
     rep = HypothesisReport()
 

@@ -26,6 +26,7 @@ import math
 import multiprocessing
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FrontError, PerifrontError
 from .grid import CellGrid, OperatorSpec, PeriodicField, assemble_tilted_operator
+from .dispersion import Dispersion
 from .models import PolyH
 
 __all__ = [
@@ -203,6 +205,10 @@ class Trajectory:
         return self.snapshots[0].shape[0]
 
     def save_csv(self, path) -> None:
+        if not self.snapshots:
+            raise PerifrontError(
+                "trajectory holds no snapshots, so there is no CSV to "
+                "write: a run stores none when store_from > T")
         _write_snapshot_csv(path, self.window.x, self.m,
                             zip(self.times, self.snapshots))
 
@@ -289,17 +295,12 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
     solutions converge to a translate of the front).  |x|^tau is floored
     at 1 to avoid the spurious zero at the origin.  Runs are rightward:
     a leftward front is the rightward one of the model with x reflected."""
-    from .dispersion import Dispersion
-
     if not (0.0 < eps0 < 0.5):
         raise PerifrontError("eps0 must lie in (0, 1/2)")
     if k <= 0.0:
         raise PerifrontError("k must be positive")
     disp = disp or Dispersion(model)
-    c0, _ = disp.critical_speed()
-    if c < c0 - 1e-12:
-        raise PerifrontError(f"c = {c} below critical speed {c0}")
-    tau = 1 if abs(c - c0) <= 1e-10 else 0
+    tau = disp.tau(c)
     lam_c = disp.lambda_c(c)
     phi = disp.cascade(lam_c).as_array()   # (m, n)
     x = window.x
@@ -308,7 +309,6 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
         envelope = envelope * np.maximum(1.0, np.abs(x))[None, :]
     u0 = np.minimum((1.0 - eps0), envelope)
     if float(envelope[:, -1].max()) > 1e-12:
-        import warnings
         warnings.warn("window may be too short: initial envelope has not "
                       "decayed below 1e-12 at the right edge")
     return SimState(0.0, u0)

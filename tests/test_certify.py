@@ -236,6 +236,42 @@ def profile(model, disp):
                                      t_window=(20.0, 40.0))
 
 
+@pytest.fixture(scope="module")
+def seed_traj(model, disp):
+    win = WindowGrid(model.cell, 70)
+    cfg = StepperConfig(dt=0.01, snapshot_dt=1.0)
+    st = perifront.build_initial_front_like(model, win, 2.5, disp=disp)
+    return run(model, st, win, cfg, 12.0)
+
+
+def ref_sandwich_seed(model, disp, profile, traj, delta):
+    """find_sandwich_seed with its beta probe rebuilt at every t_c."""
+    window = traj.window
+    n = model.cell.n
+    inner = slice(4 * n, window.npts - 4 * n)
+    x_in = window.x[inner]
+    psi = principal_eig_coupled(model, at="one")
+    snap = {round(t, 9): u for t, u in zip(traj.times, traj.snapshots)}
+    for t_c in perifront.certify.SEED_TIMES:
+        u_tc = snap.get(round(t_c, 9))
+        if u_tc is None:
+            continue
+        pos = perifront.front_position(u_tc[0], window.x, 0.5)
+        s0 = -(profile.c * t_c - pos)
+        beta = build_stability_sandwich(model, disp, profile, "lower",
+                                        delta=delta, psi_pair=psi,
+                                        s0=s0).params["beta"]
+        for fac in perifront.certify.SEED_SIGMA_FACTORS:
+            lower, upper = (build_stability_sandwich(
+                model, disp, profile, sign, delta=delta, psi_pair=psi,
+                s0=s0, sigma=fac / beta) for sign in ("lower", "upper"))
+            u_in = u_tc[:, inner]
+            if float((lower.evaluator(t_c, x_in) - u_in).max()) <= 0.0 \
+                    and float((u_in - upper.evaluator(t_c, x_in)).max()) <= 0.0:
+                return t_c, fac / beta, s0, lower, upper
+    raise CertificationError("no bracketing pair")
+
+
 class TestSandwich:
     def test_both_signs_pass(self, model, disp, profile):
         psi = principal_eig_coupled(model, at="one")
@@ -291,13 +327,11 @@ class TestSandwich:
             build_stability_sandwich(model, disp, flat, "lower", delta=0.01,
                                      psi_pair=tiny)
 
-    def test_bracket_search_and_persistence(self, model, disp, profile):
+    def test_bracket_search_and_persistence(self, model, disp, profile,
+                                            seed_traj):
         # the seeded pair brackets the simulated solution at t_c and stays
         # a bracket afterwards (the comparison-principle content)
-        win = WindowGrid(model.cell, 70)
-        cfg = StepperConfig(dt=0.01, snapshot_dt=1.0)
-        st = perifront.build_initial_front_like(model, win, 2.5, disp=disp)
-        traj = run(model, st, win, cfg, 12.0)
+        traj, win = seed_traj, seed_traj.window
         t_c, sigma, s0, lower, upper = perifront.find_sandwich_seed(
             model, disp, profile, traj, delta=0.01)
         n = model.cell.n
@@ -313,3 +347,27 @@ class TestSandwich:
             assert float((u[:, inner] - hi).max()) <= tol
             checked += 1
         assert checked >= 3
+
+    def test_seed_search_probes_beta_once(self, model, disp, profile,
+                                          seed_traj, monkeypatch):
+        # beta does not depend on t_c or s0: one probe serves the whole
+        # search, which returns what a probe per t_c returns
+        want = ref_sandwich_seed(model, disp, profile, seed_traj, 0.01)
+        sigmas = []
+        build = perifront.certify.build_stability_sandwich
+
+        def counting(*args, **kw):
+            sigmas.append(kw.get("sigma"))
+            return build(*args, **kw)
+
+        monkeypatch.setattr(perifront.certify, "build_stability_sandwich",
+                            counting)
+        got = perifront.find_sandwich_seed(model, disp, profile, seed_traj,
+                                           delta=0.01)
+        assert sigmas.count(None) == 1
+        assert got[:3] == want[:3]
+        win = seed_traj.window
+        for t in (got[0], seed_traj.times[-1]):
+            for g, w in zip(got[3:], want[3:]):
+                assert np.array_equal(g.evaluator(t, win.x),
+                                      w.evaluator(t, win.x))

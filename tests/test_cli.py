@@ -127,6 +127,20 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_failed_rerun_removes_earlier_outputs(self, tmp_path):
+        out = tmp_path / "cert"
+        assert main(["certify", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "margins.csv", "resolved-config.json", "results.json"]
+        assert main(["certify", "--c", "1.0", "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
+    def test_competition_needs_competition_model_exit_2(self, tmp_path):
+        out = tmp_path / "comp"
+        rc = main(["competition", "--model", "constant2", "--out", str(out)])
+        assert rc == 2
+        assert not (out / "results.json").exists()
+
 
 class TestSimulateAndFront:
     def test_simulate_speed(self, tmp_path):
@@ -217,9 +231,14 @@ class TestSimulateAndFront:
 
 
 class TestDefaults:
-    @pytest.mark.parametrize("command", ["simulate", "front"])
+    @pytest.mark.parametrize("command", ["dispersion", "simulate", "front",
+                                         "certify", "competition",
+                                         "hypotheses"])
     def test_exit_zero_at_defaults(self, tmp_path, command):
         out = tmp_path / command
         assert main([command, "--out", str(out)]) == 0
         cfg = read_json(out / "resolved-config.json")
         assert cfg["window_cells"] == 120
+        assert cfg["snapshot_dt"] == (0.03 if command == "front" else 0.25)
+        assert cfg["model"] == ("competition-strong"
+                                if command == "competition" else "constant2")

@@ -93,6 +93,19 @@ class TestLambdaC:
         with pytest.raises(PerifrontError):
             disp.lambda_c(1.5)
 
+    def test_tau_decides_criticality(self):
+        # critical on [c0 - 1e-12, c0 + 1e-10], supercritical above it,
+        # no front below it
+        disp = Dispersion(two_component(make_cell_grid(1.0, 64)))
+        c0, _ = disp.critical_speed()
+        for c in (c0, c0 - 5e-13, c0 + 5e-11):
+            assert disp.tau(c) == 1
+        for c in (c0 + 2e-10, 2.5):
+            assert disp.tau(c) == 0
+        for c in (c0 - 2e-12, 1.5):
+            with pytest.raises(PerifrontError, match="below the critical"):
+                disp.tau(c)
+
     def test_root_ordering(self):
         disp = Dispersion(make_model("periodic2"))
         c0, lam0 = disp.critical_speed()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from perifront import (Dispersion, SimState, Stepper, StepperConfig,
-                       WindowGrid, build_initial_front_like, make_cell_grid,
-                       make_model, run)
+                       Trajectory, WindowGrid, build_initial_front_like,
+                       make_cell_grid, make_model, run)
 from perifront.errors import FrontError, PerifrontError
 from perifront.models import PolyH, ReactionModel
 
@@ -249,6 +249,12 @@ class TestInitialData:
                    (x2 * np.exp(-lam * x2) * phi[0, win.xidx[j2]])
         assert ratio == pytest.approx(expected, rel=1e-12)
 
+    def test_below_critical_raises(self, constant2):
+        win = WindowGrid(constant2.cell, 40)
+        with pytest.raises(PerifrontError, match="below the critical"):
+            build_initial_front_like(constant2, win, 1.5,
+                                     disp=Dispersion(constant2))
+
 
 class TestSerialization:
     def test_csv_header(self, constant2, tmp_path):
@@ -262,3 +268,11 @@ class TestSerialization:
         with open(path) as fh:
             header = fh.readline()
         assert header.startswith("# t, x, u_1, u_2")
+
+    def test_empty_trajectory_raises(self, constant2, tmp_path):
+        # a trajectory without snapshots does not know m: no file
+        path = tmp_path / "snap.csv"
+        traj = Trajectory(WindowGrid(constant2.cell, 20))
+        with pytest.raises(PerifrontError, match="store_from"):
+            traj.save_csv(path)
+        assert not path.exists()
