@@ -9,6 +9,7 @@ few supercritical speeds.  Writes dispersion_curves.csv for plotting.
 import numpy as np
 
 from perifront import Dispersion, make_model
+from perifront.errors import PerifrontError
 
 for name in ("constant2", "periodic2"):
     model = make_model(name)
@@ -17,8 +18,10 @@ for name in ("constant2", "periodic2"):
     print(f"== {name}")
     print(f"   c_+0 = {c0:.6f}   lambda_+0 = {lam0:.6f}")
     for c in (c0, 1.1 * c0, 1.25 * c0, 2.0):
-        if c < c0 - 1e-12:
-            continue
+        try:
+            disp.tau(c)
+        except PerifrontError:
+            continue             # below c_+0: no front, no lambda_c
         lam_c = disp.lambda_c(c)
         print(f"   c = {c:.4f}: lambda_c = {lam_c:.6f} "
               f"(root check {disp.kappa(0, lam_c) - c * lam_c:+.1e})")

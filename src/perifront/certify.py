@@ -52,6 +52,7 @@ Z_SCAN_MAX = 40.0      # corrector shifts z0 are scanned on [0, Z_SCAN_MAX)
 SEED_TIMES = (1.0, 2.0, 4.0, 8.0)          # find_sandwich_seed's t_c grid
 SEED_SIGMA_FACTORS = (1.0, 2.0, 4.0, 8.0)  # and its sigma * beta grid
 SEED_MARGIN_CELLS = 4  # window edge cells left out of the seed bracket
+T_REGION = (0.5, 3.0)  # residual lattice times, and the sandwich's shift range
 VARRHO_SAMPLES = 3     # box lattice points per component in compute_varrho
 
 
@@ -71,13 +72,12 @@ class CandidateSolution:
     evaluator: object           # callable (t, x array) -> (m, len(x))
     scale: object               # callable s -> amplitude normalization
     constraints: list = field(default_factory=list)
-    bare_evaluator: object = None   # profile part alone, for defect measurement
-    bare_region: tuple = None       # argument range the dressed evaluator reads
-    t_region: tuple = (0.5, 3.0)
     # profile-backed candidates supply the co-moving time derivative
     # analytically instead of leaving it to a finite difference in t
     dudt_evaluator: object = None
-    bare_dudt_evaluator: object = None
+    # the bare profile over the argument range the evaluator reads, with
+    # this candidate's sense and scale: its residual is the profile defect
+    bare: CandidateSolution | None = None
 
     def __call__(self, t, x):
         return self.evaluator(t, x)
@@ -127,6 +127,26 @@ def _nodes(x, cell) -> tuple:
     """x as a 1-D float array, and the cell node index of each entry."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return x, np.rint(x / cell.h).astype(int) % cell.n
+
+
+def _co_moving(cell, c: float, f):
+    """The evaluator (t, x) -> f(t, s, idx) of a field f given in the
+    co-moving coordinate s = c t - x at the cell nodes idx of x."""
+    def evaluator(t, x):
+        x, idx = _nodes(x, cell)
+        return f(t, c * t - x, idx)
+    return evaluator
+
+
+def _kpp_margin(model, arr, lam: float, mode: str) -> float:
+    """The margin of the KPP-type property h_i(x, w) <= h_i(x, 0) along
+    w = e^{lam s} arr; raises when it fails."""
+    margin, _ = _h7_scan(model, arr, lam, 80)
+    if margin < -1e-10:
+        raise CertificationError(
+            f"h_i(x, w_c) <= h_i(x, 0) fails along the {mode} "
+            f"(margin {margin:.3e})")
+    return margin
 
 
 def _halve_eps(eps: float, sigma, ok, steps: int, message: str) -> tuple:
@@ -213,10 +233,8 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
     arr_e = phi_e.as_array()
     cell = model.cell
 
-    def evaluator(t, x):
-        x, idx = _nodes(x, cell)
-        s = c * t - x
-        out = np.empty((model.m, len(x)))
+    def sub(t, s, idx):
+        out = np.empty((model.m, len(s)))
         grow = np.exp(lam_c * s)
         pert = n0 * np.exp(eps * s)
         out[0] = delta1 * grow * (arr_c[0, idx] - pert * arr_e[0, idx])
@@ -227,16 +245,10 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
         return out
 
     # boundary conditions of the comparison argument, checked numerically
-    pert0 = n0 * math.exp(eps * s0)
-    bvals1 = delta1 * math.exp(lam_c * s0) * (arr_c[0] - pert0 * arr_e[0])
-    bmargins = [-(bvals1.max())]
-    for i in range(1, model.m):
-        bv = delta2 * math.exp(lam_c * s0) * (
-            arr_c[i] - (n0 * delta1 / delta2) * math.exp(eps * s0) * arr_e[i])
-        bmargins.append(-(bv.max()))
+    bvals = sub(0.0, np.full(cell.n, s0), np.arange(cell.n))
     scale0 = delta1 * math.exp(lam_c * s0)
     constraints = [
-        BoundaryCheck("value_at_s0_nonpositive", min(bmargins) / scale0),
+        BoundaryCheck("value_at_s0_nonpositive", -bvals.max() / scale0),
         BoundaryCheck("sup_below_one", 1.0 - delta1 * math.exp(lam_c * s0) * M_c),
     ]
 
@@ -246,7 +258,7 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
                     delta1=delta1, delta2=delta2, s_star=s_star, s0=s0,
                     n0=n0, gamma0=gamma0, theta=theta_eff),
         s_region=(s0 - 30.0, s0),
-        evaluator=evaluator,
+        evaluator=_co_moving(cell, c, sub),
         scale=lambda s: delta1 * np.exp(lam_c * np.asarray(s)),
         constraints=constraints)
 
@@ -321,16 +333,13 @@ def build_sub_critical(model, disp, delta1: float, delta2: float) -> CandidateSo
             np.abs(s) * arr_s[i, idx] - m0_i * arr_s[i, idx]
             - arr_d[i, idx] + n0_i * np.exp(eps_s * s) * arr_e[i, idx])
 
-    def evaluator(t, x):
-        x, idx = _nodes(x, cell)
-        s = c0 * t - x
+    def sub(t, s, idx):
         return np.stack([component(i, s, idx) for i in range(model.m)])
 
-    bvals = [component(i, np.full(cell.n, s0), np.arange(cell.n)).max()
-             for i in range(model.m)]
+    bvals = sub(0.0, np.full(cell.n, s0), np.arange(cell.n))
     scale0 = delta1 * (1.0 + abs(s0)) * math.exp(lam0 * s0)
     constraints = [
-        BoundaryCheck("value_at_s0_nonpositive", -max(bvals) / scale0),
+        BoundaryCheck("value_at_s0_nonpositive", -bvals.max() / scale0),
         BoundaryCheck("sup_below_one",
                       1.0 - 3.0 * delta1 * abs(s0) * math.exp(lam0 * s0) * M_s),
     ]
@@ -341,7 +350,7 @@ def build_sub_critical(model, disp, delta1: float, delta2: float) -> CandidateSo
                     delta1=delta1, delta2=delta2, s_hat=s_hat, s_star=s_star,
                     s0=s0, m0=m0, n0=n0, gamma0=gamma0),
         s_region=(s0 - 30.0, s0),
-        evaluator=evaluator,
+        evaluator=_co_moving(cell, c0, sub),
         scale=lambda s: delta1 * (1.0 + np.abs(np.asarray(s)))
         * np.exp(lam0 * np.asarray(s)),
         constraints=constraints)
@@ -359,27 +368,17 @@ def build_super_linearized(model, disp, c: float, k: float) -> CandidateSolution
     lam_c = disp.lambda_c(c)
     phi = disp.cascade(lam_c)
     arr = phi.as_array()
-    cell = model.cell
-
-    # the KPP-type property along this mode, with its measured margin
-    margin, _ = _h7_scan(model, arr, lam_c, 80)
-    if margin < -1e-10:
-        raise CertificationError(
-            f"h_i(x, w_c) <= h_i(x, 0) fails along the mode (margin {margin:.3e})")
-
+    margin = _kpp_margin(model, arr, lam_c, "mode")
     s_sat = -math.log(k * float(arr.max())) / lam_c
 
-    def evaluator(t, x):
-        x, idx = _nodes(x, cell)
-        s = c * t - x
-        w = k * np.exp(lam_c * s)[None, :] * arr[:, idx]
-        return np.minimum(w, 1.0)
+    def sup(t, s, idx):
+        return np.minimum(k * np.exp(lam_c * s)[None, :] * arr[:, idx], 1.0)
 
     return CandidateSolution(
         kind="super_linearized", sense="super",
         params=dict(c=c, lam_c=lam_c, k=k, s_sat=s_sat, h7_margin=margin),
         s_region=(s_sat - 30.0, s_sat),
-        evaluator=evaluator,
+        evaluator=_co_moving(model.cell, c, sup),
         scale=lambda s: np.minimum(k * np.exp(lam_c * np.asarray(s)), 1.0),
         constraints=[BoundaryCheck("kpp_along_mode", margin)])
 
@@ -399,24 +398,13 @@ def build_super_linearized_critical(model, disp, k: float,
     s0 = s_star
     k_star = math.exp(-2.0 * lam0 * s0) / ((2.0 * abs(s0) + n_param) * m_s - M_d)
 
-    margin, _ = _h7_scan(model, phi_s.as_array(), lam0, 80)
-    if margin < -1e-10:
-        raise CertificationError(
-            f"h_i(x, w_c) <= h_i(x, 0) fails along the critical mode "
-            f"(margin {margin:.3e})")
-
     arr_s = phi_s.as_array()
     arr_d = phi_d.as_array()
-    cell = model.cell
+    margin = _kpp_margin(model, arr_s, lam0, "critical mode")
 
-    def raw(t, x):
-        x, idx = _nodes(x, cell)
-        s = c0 * t - x
+    def sup(t, s, idx):
         core = ((np.abs(s) + n_param)[None, :] * arr_s[:, idx] - arr_d[:, idx])
-        return k * np.exp(lam0 * s)[None, :] * core
-
-    def evaluator(t, x):
-        return np.minimum(raw(t, x), 1.0)
+        return np.minimum(k * np.exp(lam0 * s)[None, :] * core, 1.0)
 
     # positivity of the unclipped profile over the declared region
     pos_margin = np.inf
@@ -429,7 +417,7 @@ def build_super_linearized_critical(model, disp, k: float,
         params=dict(c=c0, lam_star=lam0, k=k, n=n_param, s_star=s_star,
                     s0=s0, k_star=k_star, h7_margin=margin),
         s_region=(s0 - 30.0, s0),
-        evaluator=evaluator,
+        evaluator=_co_moving(model.cell, c0, sup),
         scale=lambda s: k * (1.0 + np.abs(np.asarray(s)))
         * np.exp(lam0 * np.asarray(s)),
         constraints=[BoundaryCheck("positive_on_region", pos_margin),
@@ -440,25 +428,20 @@ def build_super_linearized_critical(model, disp, k: float,
 # stability sandwich around a numerical profile
 
 
-def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
-                             sigma: float | None = None, s0: float = 0.0,
-                             psi_pair=None) -> CandidateSolution:
-    """Profile-backed sandwich U(x, s0 +/- sigma(1-e^{-beta t})) +/- delta
-    xi e^{-beta t}; the shift z0 inside the corrector is found by scanning
-    until the near-one comparison inequality holds with margin delta/2.
+def _sandwich_corrector(model, disp, profile, delta: float, psi_pair):
+    """The part of the stability sandwich that depends on neither its sign,
+    sigma nor s0: the smoothed profile, Psi and mu-, the eps/beta search,
+    the corrector xi, its shift z0 and the slope alpha.
 
-    The profile is lightly smoothed along s and only its solidly-occupied
-    range is used, so the finite-difference residual sees the front rather
-    than bin-level roughness.
+    Returns (beta, candidate), where candidate(sign, sigma, s0) assembles
+    the signed sandwich U(x, s0 +/- sigma(1-e^{-beta t})) +/- delta
+    xi(x, . + z0) e^{-beta t}.
     """
-    if sign not in ("lower", "upper"):
-        raise CertificationError("sign must be 'lower' or 'upper'")
     profile = profile.smoothed()
     c = profile.c
     c0, lam0 = disp.critical_speed()
     critical = disp.tau(c) == 1
 
-    psi_pair = psi_pair or principal_eig_coupled(model, at="one")
     mu = psi_pair.value
     if mu >= 0.0:
         raise CertificationError(
@@ -491,11 +474,6 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         arr_e = disp.cascade(lam_c + eps).as_array()
         arr_s = None
 
-    if sigma is None:
-        sigma = 1.0 / beta
-    if sigma * beta < 1.0 - 1e-12:
-        raise CertificationError("need sigma >= 1/beta")
-
     chi, chi_p = smoothstep_cutoff(S_BAR - CHI_WIDTH, S_BAR)
     cell = model.cell
 
@@ -511,7 +489,8 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         return T, Ts
 
     def xi(idx, s):
-        """Corrector field at cell nodes idx, positions s: (m, len(s))."""
+        """Corrector field at cell nodes idx and positions s, which
+        broadcast against each other: (m, *shape)."""
         cs = chi(s)
         T, _ = tail_and_slope(idx, s)
         return cs[None, :] * T + (1.0 - cs)[None, :] * psi[:, idx]
@@ -522,93 +501,110 @@ def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
         T, Ts = tail_and_slope(idx, s)
         return cp[None, :] * (T - psi[:, idx]) + cs[None, :] * Ts
 
-    # z0 scan: U(x, s) - delta xi(x, s + z0) - 1 <= -(delta/2) Psi(x)
+    # z0 scan: U(x, s) - delta xi(x, s + z0) - 1 <= -(delta/2) Psi(x), all
+    # cell rows of one trial shift at once as (m, n, len(scan_s)); a row
+    # whose maximum is NaN (unobserved bins) does not reject the shift
     scan_s = np.arange(profile.s[0] - 10.0, profile.s[-1] + 10.0, cell.h)
-    all_idx = np.arange(cell.n)
-    z0 = None
+    rows = np.arange(cell.n)[:, None]
+    Uv = profile.eval(np.repeat(rows, len(scan_s)), np.tile(scan_s, cell.n))
+    Uv = Uv.reshape(model.m, cell.n, len(scan_s))
     for z in np.arange(0.0, Z_SCAN_MAX, cell.h):
-        ok = True
-        for r in range(cell.n):
-            idx = np.full(len(scan_s), r)
-            Uv = profile.eval(idx, scan_s, clamp=True)
-            lhs = (Uv - delta * xi(idx, scan_s + z) - 1.0) / psi[:, r][:, None]
-            if float(lhs.max()) > -delta / 2.0:
-                ok = False
-                break
-        if ok:
+        lhs = (Uv - delta * xi(rows, scan_s + z) - 1.0) / psi[:, rows]
+        if not (lhs.max(axis=(0, 2)) > -delta / 2.0).any():
             z0 = float(z)
             break
-    if z0 is None:
+    else:
         raise CertificationError(
             f"no corrector shift z0 found in [0, {Z_SCAN_MAX}]: profile "
             "defects too large or delta too big")
-
-    sgn = -1.0 if sign == "lower" else +1.0
-
-    def shifted_s(t, x):
-        return c * t - x + s0 + sgn * sigma * (1.0 - np.exp(-beta * t))
-
-    def evaluator(t, x):
-        x, idx = _nodes(x, cell)
-        sh = shifted_s(t, x)
-        base = profile.eval(idx, sh, clamp=True)
-        corr = delta * xi(idx, sh + z0) * math.exp(-beta * t)
-        return base + sgn * corr
-
-    def dudt(t, x):
-        # co-moving identity: the time derivative rides on dU/ds, with the
-        # wide-stencil slope so bin roughness does not leak in
-        x, idx = _nodes(x, cell)
-        sh = shifted_s(t, x)
-        rate = c + sgn * sigma * beta * math.exp(-beta * t)
-        ebt = math.exp(-beta * t)
-        out = rate * profile.ds(idx, sh)
-        out += sgn * delta * ebt * (rate * xi_s(idx, sh + z0)
-                                    - beta * xi(idx, sh + z0))
-        return out
-
-    def bare(t, x):
-        # static profile, no shift: measures the profile's own PDE defect
-        x, idx = _nodes(x, cell)
-        return profile.eval(idx, c * t - x + s0, clamp=True)
-
-    def bare_dudt(t, x):
-        x, idx = _nodes(x, cell)
-        return c * profile.ds(idx, c * t - x + s0)
 
     # informational delta_c estimate from the profile's interior slope
     M_win = max(abs(S_BAR - CHI_WIDTH), abs(S_BAR)) + 2.0
     alpha = profile.min_slope(-M_win, M_win)
 
-    # keep the shifted profile argument strictly inside the solid range
-    t_region = (0.5, 3.0)
-    shift_max = sigma * (1.0 - math.exp(-beta * t_region[1]))
-    pad = 2.0
-    solid_lo, solid_hi = profile.s_solid
-    if sign == "lower":
-        s_lo = solid_lo - s0 + shift_max + pad
-        s_hi = solid_hi - s0 - pad
-        bare_region = (s_lo - shift_max, s_hi)
-    else:
-        s_lo = solid_lo - s0 + pad
-        s_hi = solid_hi - s0 - shift_max - pad
-        bare_region = (s_lo, s_hi + shift_max)
-    return CandidateSolution(
-        kind="sandwich_" + sign, sense="sub" if sign == "lower" else "super",
-        params=dict(c=c, critical=critical, lam_c=lam_c, eps=eps, beta=beta,
-                    sigma=sigma, s0=s0, z0=z0, delta=delta, mu_minus=mu,
-                    delta_m=delta_m, delta_M=delta_M,
-                    alpha_min_slope=alpha.tolist()),
-        s_region=(s_lo, s_hi),
-        evaluator=evaluator,
-        scale=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        constraints=[BoundaryCheck("z0_margin", delta / 2.0),
-                     BoundaryCheck("slope_positive", float(alpha.min()))],
-        bare_evaluator=bare,
-        bare_region=bare_region,
-        t_region=t_region,
-        dudt_evaluator=dudt,
-        bare_dudt_evaluator=bare_dudt)
+    def candidate(sign: str, sigma, s0: float) -> CandidateSolution:
+        if sigma is None:
+            sigma = 1.0 / beta
+        if sigma * beta < 1.0 - 1e-12:
+            raise CertificationError("need sigma >= 1/beta")
+        sgn = -1.0 if sign == "lower" else +1.0
+
+        def shifted(t, s):
+            return s + s0 + sgn * sigma * (1.0 - np.exp(-beta * t))
+
+        def dressed(t, s, idx):
+            sh = shifted(t, s)
+            base = profile.eval(idx, sh)
+            corr = delta * xi(idx, sh + z0) * math.exp(-beta * t)
+            return base + sgn * corr
+
+        def dudt(t, s, idx):
+            # co-moving identity: the time derivative rides on dU/ds, with
+            # the wide-stencil slope so bin roughness does not leak in
+            sh = shifted(t, s)
+            rate = c + sgn * sigma * beta * math.exp(-beta * t)
+            ebt = math.exp(-beta * t)
+            out = rate * profile.ds(idx, sh)
+            out += sgn * delta * ebt * (rate * xi_s(idx, sh + z0)
+                                        - beta * xi(idx, sh + z0))
+            return out
+
+        # keep the shifted profile argument strictly inside the solid range
+        shift_max = sigma * (1.0 - math.exp(-beta * T_REGION[1]))
+        pad = 2.0
+        solid_lo, solid_hi = profile.s_solid
+        if sign == "lower":
+            s_lo = solid_lo - s0 + shift_max + pad
+            s_hi = solid_hi - s0 - pad
+            bare_region = (s_lo - shift_max, s_hi)
+        else:
+            s_lo = solid_lo - s0 + pad
+            s_hi = solid_hi - s0 - shift_max - pad
+            bare_region = (s_lo, s_hi + shift_max)
+        params = dict(c=c, critical=critical, lam_c=lam_c, eps=eps, beta=beta,
+                      sigma=sigma, s0=s0, z0=z0, delta=delta, mu_minus=mu,
+                      delta_m=delta_m, delta_M=delta_M,
+                      alpha_min_slope=alpha.tolist())
+        sense = "sub" if sign == "lower" else "super"
+        scale = lambda s: np.ones_like(np.asarray(s, dtype=float))
+        # the static profile, no shift: measures its own PDE defect
+        bare = CandidateSolution(
+            kind="profile", sense=sense, params=params, s_region=bare_region,
+            evaluator=_co_moving(cell, c, lambda t, s, idx:
+                                 profile.eval(idx, s + s0)),
+            scale=scale,
+            dudt_evaluator=_co_moving(cell, c, lambda t, s, idx:
+                                      c * profile.ds(idx, s + s0)))
+        return CandidateSolution(
+            kind="sandwich_" + sign, sense=sense, params=params,
+            s_region=(s_lo, s_hi),
+            evaluator=_co_moving(cell, c, dressed),
+            scale=scale,
+            constraints=[BoundaryCheck("z0_margin", delta / 2.0),
+                         BoundaryCheck("slope_positive", float(alpha.min()))],
+            dudt_evaluator=_co_moving(cell, c, dudt),
+            bare=bare)
+
+    return beta, candidate
+
+
+def build_stability_sandwich(model, disp, profile, sign: str, delta: float,
+                             sigma: float | None = None, s0: float = 0.0,
+                             psi_pair=None) -> CandidateSolution:
+    """Profile-backed sandwich U(x, s0 +/- sigma(1-e^{-beta t})) +/- delta
+    xi e^{-beta t}; the shift z0 inside the corrector is found by scanning
+    until the near-one comparison inequality holds with margin delta/2.
+
+    The profile is lightly smoothed along s and only its solidly-occupied
+    range is used, so the finite-difference residual sees the front rather
+    than bin-level roughness.
+    """
+    if sign not in ("lower", "upper"):
+        raise CertificationError("sign must be 'lower' or 'upper'")
+    _, candidate = _sandwich_corrector(
+        model, disp, profile, delta,
+        psi_pair or principal_eig_coupled(model, at="one"))
+    return candidate(sign, sigma, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +616,19 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
     sandwich evaluators bracket the simulated solution at t_c.
 
     The anchoring shift s0 is fitted per t_c by matching the half-level
-    position of the first component.  Returns (t_c, sigma, s0, lower,
-    upper) for the first bracketing pair; raises if none brackets, without
-    deciding whether the data or the search range is at fault.
+    position of the first component.  Every pair is assembled from one
+    corrector.  Returns (t_c, sigma, s0, lower, upper) for the first
+    bracketing pair; raises if none brackets, without deciding whether the
+    data or the search range is at fault.
     """
     window = traj.window
     n = model.cell.n
     inner = slice(SEED_MARGIN_CELLS * n, window.npts - SEED_MARGIN_CELLS * n)
     x_in = window.x[inner]
-    psi_pair = principal_eig_coupled(model, at="one")
+    beta, candidate = _sandwich_corrector(
+        model, disp, profile, delta, principal_eig_coupled(model, at="one"))
 
     snap = {round(t, 9): u for t, u in zip(traj.times, traj.snapshots)}
-    beta = None
     for t_c in SEED_TIMES:
         u_tc = snap.get(round(t_c, 9))
         if u_tc is None:
@@ -639,20 +636,10 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
         # phase of the simulated front at t_c, in profile coordinates
         pos = front_position(u_tc[0], window.x, 0.5)
         s0 = -(profile.c * t_c - pos)
-        if beta is None:
-            # beta comes from the eps search for (disp, profile.c, mu-),
-            # not from t_c or s0: one probe serves every t_c
-            beta = build_stability_sandwich(model, disp, profile, "lower",
-                                            delta=delta, psi_pair=psi_pair,
-                                            s0=s0).params["beta"]
         for fac in SEED_SIGMA_FACTORS:
             sigma = fac / beta
-            lower = build_stability_sandwich(model, disp, profile, "lower",
-                                             delta=delta, psi_pair=psi_pair,
-                                             s0=s0, sigma=sigma)
-            upper = build_stability_sandwich(model, disp, profile, "upper",
-                                             delta=delta, psi_pair=psi_pair,
-                                             s0=s0, sigma=sigma)
+            lower = candidate("lower", sigma, s0)
+            upper = candidate("upper", sigma, s0)
             lo = lower.evaluator(t_c, x_in)
             hi = upper.evaluator(t_c, x_in)
             if float((lo - u_tc[:, inner]).max()) <= 0.0 \
@@ -668,6 +655,55 @@ def find_sandwich_seed(model, disp, profile, traj, delta: float):
 # residual verification
 
 
+def _lattice_margins(model, cand: CandidateSolution) -> tuple:
+    """Per-component worst normalized residual margin of cand over the
+    (t, x) lattice sweeping its s-region (>= 0 means the inequality of its
+    sense holds), with the (component, t, x, residual) witness of the
+    worst."""
+    cell = model.cell
+    h = cell.h
+    reg_lo, reg_hi = cand.s_region
+    c = cand.params["c"]
+    # a subsolution's margin is -N, a supersolution's N
+    flip = -1.0 if cand.sense == "sub" else 1.0
+    worst = np.full(model.m, np.inf)
+    wit = None
+    for t in np.linspace(max(T_REGION[0], 2 * DT_FD), T_REGION[1],
+                         T_SAMPLES):
+        # x so that s = c t - x sweeps the region, padded one node
+        x_lo = c * t - reg_hi
+        x_hi = c * t - reg_lo
+        j0 = math.floor(x_lo / h) - 1
+        j1 = math.ceil(x_hi / h) + 1
+        x = np.arange(j0, j1 + 1) * h
+        x, idx = _nodes(x, cell)
+        u = cand.evaluator(t, x)
+        if cand.dudt_evaluator is not None:
+            dudt = cand.dudt_evaluator(t, x)
+        else:
+            up = cand.evaluator(t + DT_FD, x)
+            um = cand.evaluator(t - DT_FD, x)
+            dudt = (up - um) / (2.0 * DT_FD)
+        lap = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h**2
+        grad = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
+        inner = slice(1, -1)
+        f = model.F(u[:, inner], idx[inner])
+        N = (dudt[:, inner]
+             - model.d[:, idx[inner]] * lap
+             - model.q[:, idx[inner]] * grad
+             - f)
+        Nhat = N / cand.scale(c * t - x[inner])[None, :]
+        signed = flip * Nhat
+        marg = signed.min(axis=1)
+        for i in range(model.m):
+            if marg[i] < worst[i]:
+                worst[i] = marg[i]
+                jbad = int(np.argmin(signed[i]))
+                wit = (i + 1, float(t), float(x[inner][jbad]),
+                       float(Nhat[i, jbad]))
+    return worst, wit
+
+
 def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
     """Finite-difference check of the differential inequality on a (t, x)
     lattice covering the candidate's s-region.
@@ -677,69 +713,17 @@ def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
     profile-backed candidates, the measured residual of the bare profile
     over the same lattice.
     """
-    cell = model.cell
-    h = cell.h
     s_lo, s_hi = cand.s_region
     if s_hi <= s_lo:
         raise CertificationError("empty region")
-    c = cand.params["c"]
-    t0 = max(cand.t_region[0], 2 * DT_FD)
-    t_samples = np.linspace(t0, cand.t_region[1], T_SAMPLES)
-
-    def lattice_residual(evaluator, region, dudt_eval=None):
-        reg_lo, reg_hi = region
-        worst = np.full(model.m, np.inf)
-        wit = None
-        for t in t_samples:
-            # x so that s = c t - x sweeps the region, padded one node
-            x_lo = c * t - reg_hi
-            x_hi = c * t - reg_lo
-            j0 = math.floor(x_lo / h) - 1
-            j1 = math.ceil(x_hi / h) + 1
-            x = np.arange(j0, j1 + 1) * h
-            x, idx = _nodes(x, cell)
-            u = evaluator(t, x)
-            if dudt_eval is not None:
-                dudt = dudt_eval(t, x)
-            else:
-                up = evaluator(t + DT_FD, x)
-                um = evaluator(t - DT_FD, x)
-                dudt = (up - um) / (2.0 * DT_FD)
-            lap = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h**2
-            grad = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
-            inner = slice(1, -1)
-            f = model.F(u[:, inner], idx[inner])
-            N = (dudt[:, inner]
-                 - model.d[:, idx[inner]] * lap
-                 - model.q[:, idx[inner]] * grad
-                 - f)
-            Nhat = N / cand.scale(c * t - x[inner])[None, :]
-            if cand.sense == "sub":
-                marg = -Nhat.max(axis=1)
-            else:
-                marg = Nhat.min(axis=1)
-            for i in range(model.m):
-                if marg[i] < worst[i]:
-                    worst[i] = marg[i]
-                    if cand.sense == "sub":
-                        jbad = int(np.argmax(Nhat[i]))
-                    else:
-                        jbad = int(np.argmin(Nhat[i]))
-                    wit = (i + 1, float(t), float(x[inner][jbad]),
-                           float(Nhat[i, jbad]))
-        return worst, wit
-
-    margins, witness = lattice_residual(cand.evaluator, (s_lo, s_hi),
-                                        cand.dudt_evaluator)
+    margins, witness = _lattice_margins(model, cand)
 
     profile_defect = 0.0
-    if cand.bare_evaluator is not None:
-        bare_m, _ = lattice_residual(cand.bare_evaluator,
-                                     cand.bare_region or (s_lo, s_hi),
-                                     cand.bare_dudt_evaluator)
+    if cand.bare is not None:
+        bare_m, _ = _lattice_margins(model, cand.bare)
         profile_defect = float(np.max(np.abs(bare_m)))
 
-    allowance = C_ALLOW * (h**2 + DT_FD**2) + profile_defect
+    allowance = C_ALLOW * (model.cell.h**2 + DT_FD**2) + profile_defect
     b_ok = all(b.margin >= -allowance for b in cand.constraints)
     verdict = bool(margins.min() >= -allowance and b_ok)
     if not b_ok and witness is None:

@@ -150,12 +150,17 @@ def cmd_dispersion(cfg, outdir, model, tc):
                f"lambda, {cols}, kappa1_over_lambda",
                np.column_stack([lams, tab["kappa"].T, ratio]))
     h6_gap = disp.spectral_gap(lam0)
+    lambda_c = {}
+    for c in [cfg["c"]] if np.isscalar(cfg["c"]) else cfg["c"]:
+        try:
+            disp.tau(float(c))
+        except PerifrontError:
+            continue             # below c_+0: no decay exponent
+        lambda_c[str(c)] = disp.lambda_c(float(c))
     results = {
         "c_plus0": c0,
         "lambda_plus0": lam0,
-        "lambda_c": {str(c): disp.lambda_c(float(c)) for c in
-                     ([cfg["c"]] if np.isscalar(cfg["c"]) else cfg["c"])
-                     if float(c) >= c0 - 1e-12},
+        "lambda_c": lambda_c,
         "H6_ok": bool(h6_gap > 0.0),
         "H6_gap": h6_gap,
     }
@@ -280,9 +285,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _resolve_config(args)
-        outdir = Path(cfg["out"])
+        # the flag or the default names outdir until the config is read,
+        # so that a config that cannot be read also clears earlier outputs
+        outdir = Path(args.out if args.out is not None else DEFAULTS["out"])
         try:
+            cfg = _resolve_config(args)
+            outdir = Path(cfg["out"])
             model, tc = _build_model(cfg)
             outdir.mkdir(parents=True, exist_ok=True)
             # cmd_<name> is looked up per call, so that a wrapper bound

@@ -120,20 +120,17 @@ class FrontProfile:
     def h_s(self) -> float:
         return float(self.s[1] - self.s[0])
 
-    def eval(self, xidx: np.ndarray, s: np.ndarray,
-             clamp: bool = True) -> np.ndarray:
+    def eval(self, xidx: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Interpolate U at cell nodes xidx and co-moving positions s.
 
         Outside the represented range the profile is clamped to its limit
-        states (0 left, 1 right) when clamp=True, else an error is raised.
+        states (0 left, 1 right).
         """
         xidx = np.asarray(xidx, dtype=int)
         s = np.asarray(s, dtype=float)
         pos = (s - self.s[0]) / self.h_s
         below = pos < 0.0
         above = pos > len(self.s) - 1
-        if not clamp and (below.any() or above.any()):
-            raise FrontError("evaluation outside the represented s-range")
         kc = np.clip(np.floor(pos).astype(int), 0, len(self.s) - 2)
         frac = np.clip(pos - kc, 0.0, 1.0)
         # xidx and s are aligned 1-D arrays; gather per component
@@ -142,9 +139,8 @@ class FrontProfile:
             v0 = self.U[i, xidx, kc]
             v1 = self.U[i, xidx, kc + 1]
             out[i] = v0 * (1.0 - frac) + v1 * frac
-        if clamp:
-            out[:, below] = 0.0
-            out[:, above] = 1.0
+        out[:, below] = 0.0
+        out[:, above] = 1.0
         return out
 
     def ds(self, xidx: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -397,7 +397,7 @@ def check_hypotheses(model: ReactionModel,
     # H5: global attraction of 1 over periodic data; asymptotic, so only
     # heuristic evidence from a cell-periodic relaxation run
     if run_h5_heuristic:
-        dist = _relax_on_cell(model, u0=0.5, T=80.0)
+        dist, _ = _relax_on_cell(model, u0=0.5, T=80.0)
         rep.add("H5", "not-checkable", dist, None,
                 f"heuristic: |u(T) - 1| = {dist:.2e} from homogeneous 0.5 start")
     else:
@@ -449,9 +449,9 @@ def _cell_imex_step(cell: CellGrid, d: np.ndarray, q: np.ndarray,
     return step
 
 
-def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02,
-                   also_state: bool = False):
-    """Integrate the model with periodic BCs on one cell (IMEX, coarse)."""
+def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02):
+    """Integrate the model with periodic BCs on one cell (IMEX, coarse);
+    returns (max |u(T) - 1|, u(T))."""
     xidx = np.arange(model.cell.n)
     u = np.full((model.m, model.cell.n), float(u0)) if np.isscalar(u0) \
         else np.array(u0)
@@ -459,7 +459,7 @@ def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02,
     for _ in range(int(round(T / dt))):
         u = step(u, model.F(u, xidx))
     dist = float(np.max(np.abs(u - 1.0)))
-    return (dist, u) if also_state else dist
+    return dist, u
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +657,7 @@ def check_competition_assumptions(tc: TransformedCompetition,
             f"c_nu- + c_nu+ = {c_minus:.6g} + {c_plus:.6g}")
 
     if run_a2_heuristic:
-        dist, ustate = _relax_on_cell(tc.model, u0=0.5, T=80.0, also_state=True)
+        dist, ustate = _relax_on_cell(tc.model, u0=0.5, T=80.0)
         interior = bool(np.all(ustate > 1e-3) and np.all(ustate < 1 - 1e-3))
         rep.add("A2", "not-checkable", dist, None,
                 "heuristic: interior periodic data "

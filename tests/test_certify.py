@@ -292,7 +292,7 @@ class TestSandwich:
             u = cand.evaluator(t, x)
             sh = cand.params["c"] * t - x + sigma * (1 - np.exp(-beta * t))
             idx = np.rint(x / model.cell.h).astype(int) % model.cell.n
-            base = profile.smoothed().eval(idx, sh, clamp=True)
+            base = profile.smoothed().eval(idx, sh)
             gap = np.max(np.abs(u - base))
             assert gap <= 0.01 * 3.1 * np.exp(-beta * t) + 1e-12
 
@@ -348,23 +348,24 @@ class TestSandwich:
             checked += 1
         assert checked >= 3
 
-    def test_seed_search_probes_beta_once(self, model, disp, profile,
-                                          seed_traj, monkeypatch):
-        # beta does not depend on t_c or s0: one probe serves the whole
-        # search, which returns what a probe per t_c returns
+    def test_seed_search_builds_one_corrector(self, model, disp, profile,
+                                              seed_traj, monkeypatch):
+        # the corrector depends on neither t_c, sigma, s0 nor the sign: one
+        # build serves the whole search, which returns what a full sandwich
+        # build per pair returns
         want = ref_sandwich_seed(model, disp, profile, seed_traj, 0.01)
-        sigmas = []
-        build = perifront.certify.build_stability_sandwich
+        builds = []
+        corrector = perifront.certify._sandwich_corrector
 
         def counting(*args, **kw):
-            sigmas.append(kw.get("sigma"))
-            return build(*args, **kw)
+            builds.append(args)
+            return corrector(*args, **kw)
 
-        monkeypatch.setattr(perifront.certify, "build_stability_sandwich",
+        monkeypatch.setattr(perifront.certify, "_sandwich_corrector",
                             counting)
         got = perifront.find_sandwich_seed(model, disp, profile, seed_traj,
                                            delta=0.01)
-        assert sigmas.count(None) == 1
+        assert len(builds) == 1
         assert got[:3] == want[:3]
         win = seed_traj.window
         for t in (got[0], seed_traj.times[-1]):

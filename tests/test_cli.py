@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import golden
 from perifront import WindowGrid, make_cell_grid
 from perifront.cli import main
 
@@ -135,6 +136,17 @@ class TestErrors:
         assert main(["certify", "--c", "1.0", "--out", str(out)]) == 3
         assert list(out.iterdir()) == []
 
+    def test_unreadable_config_removes_earlier_outputs(self, tmp_path):
+        # the config fails before it can name outdir: --out names it
+        out = tmp_path / "o"
+        assert main(["hypotheses", "--out", str(out)]) == 0
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text("{not json")
+        rc = main(["hypotheses", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        assert not (out / "results.json").exists()
+        assert list(out.iterdir()) == []
+
     def test_competition_needs_competition_model_exit_2(self, tmp_path):
         out = tmp_path / "comp"
         rc = main(["competition", "--model", "constant2", "--out", str(out)])
@@ -242,3 +254,9 @@ class TestDefaults:
         assert cfg["snapshot_dt"] == (0.03 if command == "front" else 0.25)
         assert cfg["model"] == ("competition-strong"
                                 if command == "competition" else "constant2")
+        # the same numbers: every file byte for byte as recorded
+        want = json.loads(golden.MANIFEST.read_text())
+        assert want["versions"] == golden.versions(), (
+            f"tests/golden.json was recorded with {want['versions']}, this "
+            f"run has {golden.versions()}: rerun tests/golden.py")
+        assert golden.digests(out) == want["files"][command]

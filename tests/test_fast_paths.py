@@ -18,6 +18,10 @@ H3, the strided lattice's margin on the built-in models).
 The coupled eigensolve, the lambda_c bisection, the four eps searches
 and both H7 scans now share one loop each with their former twins, so
 each must give its loop's numbers bit for bit.
+The certify candidates are co-moving fields and the sandwich is assembled
+from one corrector, with the arithmetic of the closures they replaced, so
+every evaluator and report must be bit-for-bit equal; only the
+supercritical subsolution's s0 boundary margin may move by a few ulp.
 """
 
 import dataclasses
@@ -42,14 +46,19 @@ from perifront import (Dispersion, SimState, Stepper, StepperConfig,
                        extract_profile, make_cell_grid, make_model,
                        principal_eig_coupled, shift_distance)
 import perifront.certify as certify
-from perifront.certify import _gamma0, compute_varrho
+from perifront.certify import (BoundaryCheck, CertReport, C_ALLOW, CHI_WIDTH,
+                               DT_FD, S_BAR, T_SAMPLES, Z_SCAN_MAX,
+                               _gamma0, _halve_eps, _nodes, _phi_bounds,
+                               _pick_eps_star, compute_varrho,
+                               smoothstep_cutoff)
 from perifront.cli import _write_csv
 from perifront.dispersion import golden_section_min
 from perifront.eigen import MAX_ITER, principal_eig_scalar
-from perifront.errors import ReducibleCouplingError, SingularSystemError
+from perifront.errors import (CertificationError, ReducibleCouplingError,
+                              SingularSystemError)
 from perifront.grid import (BandedMatrix, OperatorSpec, PeriodicField,
                             assemble_tilted_operator, solve_cyclic_banded)
-from perifront.models import (PolyH, ReactionModel,
+from perifront.models import (PolyH, ReactionModel, _h7_scan,
                               competition_to_cooperative,
                               make_competition_spec)
 
@@ -218,7 +227,7 @@ def ref_sup_dist_shifted(U, V, z):
     worst = 0.0
     for r in range(V.cell.n):
         xi = np.full(len(ssub), r)
-        diff = U.eval(xi, ssub + z, clamp=True) - V.U[:, r, :][:, inside]
+        diff = U.eval(xi, ssub + z) - V.U[:, r, :][:, inside]
         worst = max(worst, float(np.nanmax(np.abs(diff))))
     return worst
 
@@ -236,7 +245,7 @@ def ref_convergence_metric(traj, profile, margin_cells=5, shift_bracket=6.0):
         usub = u[:, margin:-margin]
 
         def dist_of(shift):
-            pred = profile.eval(xidx, c * t - xw + shift, clamp=True)
+            pred = profile.eval(xidx, c * t - xw + shift)
             return float(np.max(np.abs(usub - pred)))
 
         zs = shift_prev + np.linspace(-shift_bracket, shift_bracket, 25)
@@ -736,7 +745,7 @@ def ref_relax_on_cell(model, u0, T, dt=0.02):
 
 @pytest.mark.parametrize("model", cell_models(), ids=lambda m: m.name)
 def test_relax_on_cell_is_bitwise_equal(model):
-    dist, u = models._relax_on_cell(model, u0=0.5, T=2.0, also_state=True)
+    dist, u = models._relax_on_cell(model, u0=0.5, T=2.0)
     ref = ref_relax_on_cell(model, 0.5, T=2.0)
     assert np.array_equal(u, ref)
     assert dist == float(np.max(np.abs(ref - 1.0)))
@@ -1277,3 +1286,619 @@ def test_h7_s_hi_log_is_pinned(n):
         disp = Dispersion(model)
         norm = disp.cascade(disp.critical_speed()[1]).norm_p()
         assert math.log(norm) == np.log(norm), model.name
+
+
+# ---------------------------------------------------------------------------
+# certify: the builders and the residual check as they were before the
+# co-moving field helper, the sandwich corrector split and the nested bare
+# candidate
+
+
+@dataclasses.dataclass
+class RefCandidate:
+    kind: str
+    sense: str
+    params: dict
+    s_region: tuple
+    evaluator: object
+    scale: object
+    constraints: list = dataclasses.field(default_factory=list)
+    bare_evaluator: object = None
+    bare_region: tuple = None
+    t_region: tuple = (0.5, 3.0)
+    dudt_evaluator: object = None
+    bare_dudt_evaluator: object = None
+
+
+def ref_build_sub_supercritical(model, disp, c: float, delta1: float,
+                            delta2: float) -> RefCandidate:
+    """Subsolution delta * e^{lam_c s} (Phi_c - n0 e^{eps s} Phi_eps) on
+    s <= s0, with the recipe for s*, s0, n0 driving all constants."""
+    if not (0.0 < delta2 <= delta1):
+        raise CertificationError("need 0 < delta2 <= delta1")
+    c0, lam0 = disp.critical_speed()
+    if c <= c0 + 1e-12:
+        raise CertificationError("supercritical construction needs c > c_+0")
+    lam_c = disp.lambda_c(c)
+
+    eps, sigma_eps = _halve_eps(
+        disp.epsilon_rule(c),
+        lambda e: disp.kappa(0, lam_c + e) - c * (lam_c + e),
+        lambda e, sig: sig < 0.0, 20, "could not find eps with sigma_eps < 0")
+
+    phi_c = disp.cascade(lam_c)
+    phi_e = disp.cascade(lam_c + eps)
+    M_c, m_c = _phi_bounds(phi_c)
+    M_e, m_e = _phi_bounds(phi_e)
+    # enlarged ratio so that theta_eff * phi_eps dominates phi_c pointwise,
+    # making the s0-boundary value nonpositive for any normalization
+    theta_eff = max(M_e, M_c) / m_e
+    gamma0 = _gamma0(model, model.m * theta_eff)
+    norm_c = phi_c.norm_p()
+    norm_e = phi_e.norm_p()
+
+    s_star = min(
+        math.log(abs(sigma_eps) * m_e
+                 / (gamma0 * (1 + theta_eff) ** 2 * (M_c + M_e)
+                    * (norm_c + norm_e))) / (lam_c - eps),
+        -1.0)
+    s0 = min(s_star,
+             -math.log(delta1 * M_c) / lam_c,
+             math.log(theta_eff / delta1) / eps)
+    n0 = theta_eff * math.exp(-eps * s0)
+
+    arr_c = phi_c.as_array()
+    arr_e = phi_e.as_array()
+    cell = model.cell
+
+    def evaluator(t, x):
+        x, idx = _nodes(x, cell)
+        s = c * t - x
+        out = np.empty((model.m, len(x)))
+        grow = np.exp(lam_c * s)
+        pert = n0 * np.exp(eps * s)
+        out[0] = delta1 * grow * (arr_c[0, idx] - pert * arr_e[0, idx])
+        for i in range(1, model.m):
+            out[i] = delta2 * grow * (
+                arr_c[i, idx] - (n0 * delta1 / delta2)
+                * np.exp(eps * s) * arr_e[i, idx])
+        return out
+
+    # boundary conditions of the comparison argument, checked numerically
+    pert0 = n0 * math.exp(eps * s0)
+    bvals1 = delta1 * math.exp(lam_c * s0) * (arr_c[0] - pert0 * arr_e[0])
+    bmargins = [-(bvals1.max())]
+    for i in range(1, model.m):
+        bv = delta2 * math.exp(lam_c * s0) * (
+            arr_c[i] - (n0 * delta1 / delta2) * math.exp(eps * s0) * arr_e[i])
+        bmargins.append(-(bv.max()))
+    scale0 = delta1 * math.exp(lam_c * s0)
+    constraints = [
+        BoundaryCheck("value_at_s0_nonpositive", min(bmargins) / scale0),
+        BoundaryCheck("sup_below_one", 1.0 - delta1 * math.exp(lam_c * s0) * M_c),
+    ]
+
+    return RefCandidate(
+        kind="sub_supercritical", sense="sub",
+        params=dict(c=c, lam_c=lam_c, eps=eps, sigma_eps=sigma_eps,
+                    delta1=delta1, delta2=delta2, s_star=s_star, s0=s0,
+                    n0=n0, gamma0=gamma0, theta=theta_eff),
+        s_region=(s0 - 30.0, s0),
+        evaluator=evaluator,
+        scale=lambda s: delta1 * np.exp(lam_c * np.asarray(s)),
+        constraints=constraints)
+
+
+def ref_build_sub_critical(model, disp, delta1: float, delta2: float) -> RefCandidate:
+    """Critical subsolution with the |s| factor and the eigenfunction
+    lambda-derivative, valid on s <= s0."""
+    if not (0.0 < delta2 <= delta1):
+        raise CertificationError("need 0 < delta2 <= delta1")
+    c0, lam0 = disp.critical_speed()
+    eps_s, sigma_s = _pick_eps_star(disp)
+
+    phi_s = disp.cascade(lam0)
+    phi_d = disp.cascade_derivative(lam0)
+    phi_e = disp.cascade(lam0 + eps_s)
+    M_s, m_s = _phi_bounds(phi_s)
+    M_e, m_e = _phi_bounds(phi_e)
+    M_d = float(np.max(np.abs(phi_d.as_array())))
+    gamma0 = _gamma0(model, 4.0 / 3.0)
+    norm_s = phi_s.norm_p()
+
+    a = lam0 - eps_s
+    # largest s <= -1 with 2 ln|s| + a s / 2 <= 0 for every point to the left
+    s_hat = -1.0
+    while 2.0 * math.log(abs(s_hat)) + 0.5 * a * s_hat > 0.0:
+        s_hat *= 2.0
+        if s_hat < -1e8:
+            raise CertificationError("log-versus-exponential balance failed")
+    s_hat = min(s_hat,
+                2.0 / a * math.log(abs(sigma_s) * m_e
+                                   / (36.0 * gamma0 * M_s * norm_s)))
+    s_star = min(-1.0, -1.0 / lam0, -M_d / m_s, s_hat)
+
+    s0 = s_star
+    while delta1 * 3.0 * abs(s0) * M_s * math.exp(lam0 * s0) > 1.0:
+        s0 -= 1.0
+    s0 = min(s0, math.log(m_s / (delta1 * M_e)) / eps_s)
+    m0 = 3.0 * abs(s0)
+    n0 = math.exp(-eps_s * s0) * m_s / M_e
+
+    arr_s = phi_s.as_array()
+    arr_d = phi_d.as_array()
+    arr_e = phi_e.as_array()
+    cell = model.cell
+
+    def component(i, s, idx):
+        dd = delta1 if i == 0 else delta2
+        m0_i = m0 if i == 0 else m0 * delta1 / delta2
+        n0_i = n0 if i == 0 else n0 * delta1 / delta2
+        return dd * np.exp(lam0 * s) * (
+            np.abs(s) * arr_s[i, idx] - m0_i * arr_s[i, idx]
+            - arr_d[i, idx] + n0_i * np.exp(eps_s * s) * arr_e[i, idx])
+
+    def evaluator(t, x):
+        x, idx = _nodes(x, cell)
+        s = c0 * t - x
+        return np.stack([component(i, s, idx) for i in range(model.m)])
+
+    bvals = [component(i, np.full(cell.n, s0), np.arange(cell.n)).max()
+             for i in range(model.m)]
+    scale0 = delta1 * (1.0 + abs(s0)) * math.exp(lam0 * s0)
+    constraints = [
+        BoundaryCheck("value_at_s0_nonpositive", -max(bvals) / scale0),
+        BoundaryCheck("sup_below_one",
+                      1.0 - 3.0 * delta1 * abs(s0) * math.exp(lam0 * s0) * M_s),
+    ]
+
+    return RefCandidate(
+        kind="sub_critical", sense="sub",
+        params=dict(c=c0, lam_star=lam0, eps_star=eps_s, sigma_star=sigma_s,
+                    delta1=delta1, delta2=delta2, s_hat=s_hat, s_star=s_star,
+                    s0=s0, m0=m0, n0=n0, gamma0=gamma0),
+        s_region=(s0 - 30.0, s0),
+        evaluator=evaluator,
+        scale=lambda s: delta1 * (1.0 + np.abs(np.asarray(s)))
+        * np.exp(lam0 * np.asarray(s)),
+        constraints=constraints)
+
+
+def ref_build_super_linearized(model, disp, c: float, k: float) -> RefCandidate:
+    """min{k e^{lam_c s} Phi_c, 1}: a supersolution wherever the growth-rate
+    comparison h_i(x, w) <= h_i(x, 0) holds along the front mode."""
+    if k <= 0.0:
+        raise CertificationError("k must be positive")
+    lam_c = disp.lambda_c(c)
+    phi = disp.cascade(lam_c)
+    arr = phi.as_array()
+    cell = model.cell
+
+    # the KPP-type property along this mode, with its measured margin
+    margin, _ = _h7_scan(model, arr, lam_c, 80)
+    if margin < -1e-10:
+        raise CertificationError(
+            f"h_i(x, w_c) <= h_i(x, 0) fails along the mode (margin {margin:.3e})")
+
+    s_sat = -math.log(k * float(arr.max())) / lam_c
+
+    def evaluator(t, x):
+        x, idx = _nodes(x, cell)
+        s = c * t - x
+        w = k * np.exp(lam_c * s)[None, :] * arr[:, idx]
+        return np.minimum(w, 1.0)
+
+    return RefCandidate(
+        kind="super_linearized", sense="super",
+        params=dict(c=c, lam_c=lam_c, k=k, s_sat=s_sat, h7_margin=margin),
+        s_region=(s_sat - 30.0, s_sat),
+        evaluator=evaluator,
+        scale=lambda s: np.minimum(k * np.exp(lam_c * np.asarray(s)), 1.0),
+        constraints=[BoundaryCheck("kpp_along_mode", margin)])
+
+
+def ref_build_super_linearized_critical(model, disp, k: float,
+                                    n_param: float) -> RefCandidate:
+    """Critical supersolution k e^{lam* s} ((|s| + n) Phi* - Phi*'), valid
+    and positive on s <= s0 <= s* = min{-1, n - 1/lam* - M*(1)/m*}."""
+    if k <= 0.0 or n_param <= 0.0:
+        raise CertificationError("k and n must be positive")
+    c0, lam0 = disp.critical_speed()
+    phi_s = disp.cascade(lam0)
+    phi_d = disp.cascade_derivative(lam0)
+    M_s, m_s = _phi_bounds(phi_s)
+    M_d = float(np.max(np.abs(phi_d.as_array())))
+    s_star = min(-1.0, n_param - 1.0 / lam0 - M_d / m_s)
+    s0 = s_star
+    k_star = math.exp(-2.0 * lam0 * s0) / ((2.0 * abs(s0) + n_param) * m_s - M_d)
+
+    margin, _ = _h7_scan(model, phi_s.as_array(), lam0, 80)
+    if margin < -1e-10:
+        raise CertificationError(
+            f"h_i(x, w_c) <= h_i(x, 0) fails along the critical mode "
+            f"(margin {margin:.3e})")
+
+    arr_s = phi_s.as_array()
+    arr_d = phi_d.as_array()
+    cell = model.cell
+
+    def raw(t, x):
+        x, idx = _nodes(x, cell)
+        s = c0 * t - x
+        core = ((np.abs(s) + n_param)[None, :] * arr_s[:, idx] - arr_d[:, idx])
+        return k * np.exp(lam0 * s)[None, :] * core
+
+    def evaluator(t, x):
+        return np.minimum(raw(t, x), 1.0)
+
+    # positivity of the unclipped profile over the declared region
+    pos_margin = np.inf
+    for s in np.linspace(s0 - 30.0, s0, 60):
+        core = (abs(s) + n_param) * arr_s - arr_d
+        pos_margin = min(pos_margin, float(core.min()))
+
+    return RefCandidate(
+        kind="super_linearized_critical", sense="super",
+        params=dict(c=c0, lam_star=lam0, k=k, n=n_param, s_star=s_star,
+                    s0=s0, k_star=k_star, h7_margin=margin),
+        s_region=(s0 - 30.0, s0),
+        evaluator=evaluator,
+        scale=lambda s: k * (1.0 + np.abs(np.asarray(s)))
+        * np.exp(lam0 * np.asarray(s)),
+        constraints=[BoundaryCheck("positive_on_region", pos_margin),
+                     BoundaryCheck("kpp_along_mode", margin)])
+
+
+def ref_build_stability_sandwich(model, disp, profile, sign: str, delta: float,
+                             sigma: float | None = None, s0: float = 0.0,
+                             psi_pair=None) -> RefCandidate:
+    """Profile-backed sandwich U(x, s0 +/- sigma(1-e^{-beta t})) +/- delta
+    xi e^{-beta t}; the shift z0 inside the corrector is found by scanning
+    until the near-one comparison inequality holds with margin delta/2.
+
+    The profile is lightly smoothed along s and only its solidly-occupied
+    range is used, so the finite-difference residual sees the front rather
+    than bin-level roughness.
+    """
+    if sign not in ("lower", "upper"):
+        raise CertificationError("sign must be 'lower' or 'upper'")
+    profile = profile.smoothed()
+    c = profile.c
+    c0, lam0 = disp.critical_speed()
+    critical = disp.tau(c) == 1
+
+    psi_pair = psi_pair or principal_eig_coupled(model, at="one")
+    mu = psi_pair.value
+    if mu >= 0.0:
+        raise CertificationError(
+            f"upper state not linearly stable (mu = {mu:.4g}); "
+            "the sandwich construction needs a negative coupled eigenvalue")
+    psi = np.stack([v.values for v in psi_pair.vectors])
+    delta_m = float((1.0 / psi).min(axis=1).min())
+    delta_M = float((1.0 / psi).max(axis=1).max())
+    if not (0.0 < delta <= delta_m):
+        raise CertificationError(f"delta must lie in (0, {delta_m:.4g}]")
+
+    if critical:
+        eps, sig = _halve_eps(
+            _pick_eps_star(disp)[0],
+            lambda e: c0 * (lam0 + e) - disp.kappa(0, lam0 + e),
+            lambda e, sig: abs(sig) <= abs(mu) / 2.0, 30,
+            f"no eps with |sigma*| <= |mu-|/2 (mu- = {mu:.3g})")
+        beta = abs(sig)
+        lam_c = lam0
+        arr_s = disp.cascade(lam0).as_array()
+        arr_e = disp.cascade(lam0 + eps).as_array()
+    else:
+        lam_c = disp.lambda_c(c)
+        eps, sig = _halve_eps(
+            disp.epsilon_rule(c),
+            lambda e: disp.kappa(0, lam_c + e) - c * (lam_c + e),
+            lambda e, sig: sig < 0.0 and abs(sig) <= abs(mu), 30,
+            f"no eps with -|mu-| <= sigma_eps < 0 (mu- = {mu:.3g})")
+        beta = abs(sig) / 2.0
+        arr_e = disp.cascade(lam_c + eps).as_array()
+        arr_s = None
+
+    if sigma is None:
+        sigma = 1.0 / beta
+    if sigma * beta < 1.0 - 1e-12:
+        raise CertificationError("need sigma >= 1/beta")
+
+    chi, chi_p = smoothstep_cutoff(S_BAR - CHI_WIDTH, S_BAR)
+    cell = model.cell
+
+    def tail_and_slope(idx, s):
+        if critical:
+            ea = np.exp(lam_c * s)[None, :]
+            eb = np.exp((lam_c + eps) * s)[None, :]
+            T = ea * arr_s[:, idx] - eb * arr_e[:, idx]
+            Ts = lam_c * ea * arr_s[:, idx] - (lam_c + eps) * eb * arr_e[:, idx]
+        else:
+            T = np.exp((lam_c + eps) * s)[None, :] * arr_e[:, idx]
+            Ts = (lam_c + eps) * T
+        return T, Ts
+
+    def xi(idx, s):
+        """Corrector field at cell nodes idx, positions s: (m, len(s))."""
+        cs = chi(s)
+        T, _ = tail_and_slope(idx, s)
+        return cs[None, :] * T + (1.0 - cs)[None, :] * psi[:, idx]
+
+    def xi_s(idx, s):
+        cs = chi(s)
+        cp = chi_p(s)
+        T, Ts = tail_and_slope(idx, s)
+        return cp[None, :] * (T - psi[:, idx]) + cs[None, :] * Ts
+
+    # z0 scan: U(x, s) - delta xi(x, s + z0) - 1 <= -(delta/2) Psi(x)
+    scan_s = np.arange(profile.s[0] - 10.0, profile.s[-1] + 10.0, cell.h)
+    all_idx = np.arange(cell.n)
+    z0 = None
+    for z in np.arange(0.0, Z_SCAN_MAX, cell.h):
+        ok = True
+        for r in range(cell.n):
+            idx = np.full(len(scan_s), r)
+            Uv = profile.eval(idx, scan_s)
+            lhs = (Uv - delta * xi(idx, scan_s + z) - 1.0) / psi[:, r][:, None]
+            if float(lhs.max()) > -delta / 2.0:
+                ok = False
+                break
+        if ok:
+            z0 = float(z)
+            break
+    if z0 is None:
+        raise CertificationError(
+            f"no corrector shift z0 found in [0, {Z_SCAN_MAX}]: profile "
+            "defects too large or delta too big")
+
+    sgn = -1.0 if sign == "lower" else +1.0
+
+    def shifted_s(t, x):
+        return c * t - x + s0 + sgn * sigma * (1.0 - np.exp(-beta * t))
+
+    def evaluator(t, x):
+        x, idx = _nodes(x, cell)
+        sh = shifted_s(t, x)
+        base = profile.eval(idx, sh)
+        corr = delta * xi(idx, sh + z0) * math.exp(-beta * t)
+        return base + sgn * corr
+
+    def dudt(t, x):
+        # co-moving identity: the time derivative rides on dU/ds, with the
+        # wide-stencil slope so bin roughness does not leak in
+        x, idx = _nodes(x, cell)
+        sh = shifted_s(t, x)
+        rate = c + sgn * sigma * beta * math.exp(-beta * t)
+        ebt = math.exp(-beta * t)
+        out = rate * profile.ds(idx, sh)
+        out += sgn * delta * ebt * (rate * xi_s(idx, sh + z0)
+                                    - beta * xi(idx, sh + z0))
+        return out
+
+    def bare(t, x):
+        # static profile, no shift: measures the profile's own PDE defect
+        x, idx = _nodes(x, cell)
+        return profile.eval(idx, c * t - x + s0)
+
+    def bare_dudt(t, x):
+        x, idx = _nodes(x, cell)
+        return c * profile.ds(idx, c * t - x + s0)
+
+    # informational delta_c estimate from the profile's interior slope
+    M_win = max(abs(S_BAR - CHI_WIDTH), abs(S_BAR)) + 2.0
+    alpha = profile.min_slope(-M_win, M_win)
+
+    # keep the shifted profile argument strictly inside the solid range
+    t_region = (0.5, 3.0)
+    shift_max = sigma * (1.0 - math.exp(-beta * t_region[1]))
+    pad = 2.0
+    solid_lo, solid_hi = profile.s_solid
+    if sign == "lower":
+        s_lo = solid_lo - s0 + shift_max + pad
+        s_hi = solid_hi - s0 - pad
+        bare_region = (s_lo - shift_max, s_hi)
+    else:
+        s_lo = solid_lo - s0 + pad
+        s_hi = solid_hi - s0 - shift_max - pad
+        bare_region = (s_lo, s_hi + shift_max)
+    return RefCandidate(
+        kind="sandwich_" + sign, sense="sub" if sign == "lower" else "super",
+        params=dict(c=c, critical=critical, lam_c=lam_c, eps=eps, beta=beta,
+                    sigma=sigma, s0=s0, z0=z0, delta=delta, mu_minus=mu,
+                    delta_m=delta_m, delta_M=delta_M,
+                    alpha_min_slope=alpha.tolist()),
+        s_region=(s_lo, s_hi),
+        evaluator=evaluator,
+        scale=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        constraints=[BoundaryCheck("z0_margin", delta / 2.0),
+                     BoundaryCheck("slope_positive", float(alpha.min()))],
+        bare_evaluator=bare,
+        bare_region=bare_region,
+        t_region=t_region,
+        dudt_evaluator=dudt,
+        bare_dudt_evaluator=bare_dudt)
+
+
+def ref_residual_sign_check(model, cand) -> CertReport:
+    """Finite-difference check of the differential inequality on a (t, x)
+    lattice covering the candidate's s-region.
+
+    The residual is normalized by the candidate's amplitude scale; the
+    pass/fail allowance is C_ALLOW*(h**2 + DT_FD**2) plus, for
+    profile-backed candidates, the measured residual of the bare profile
+    over the same lattice.
+    """
+    cell = model.cell
+    h = cell.h
+    s_lo, s_hi = cand.s_region
+    if s_hi <= s_lo:
+        raise CertificationError("empty region")
+    c = cand.params["c"]
+    t0 = max(cand.t_region[0], 2 * DT_FD)
+    t_samples = np.linspace(t0, cand.t_region[1], T_SAMPLES)
+
+    def lattice_residual(evaluator, region, dudt_eval=None):
+        reg_lo, reg_hi = region
+        worst = np.full(model.m, np.inf)
+        wit = None
+        for t in t_samples:
+            # x so that s = c t - x sweeps the region, padded one node
+            x_lo = c * t - reg_hi
+            x_hi = c * t - reg_lo
+            j0 = math.floor(x_lo / h) - 1
+            j1 = math.ceil(x_hi / h) + 1
+            x = np.arange(j0, j1 + 1) * h
+            x, idx = _nodes(x, cell)
+            u = evaluator(t, x)
+            if dudt_eval is not None:
+                dudt = dudt_eval(t, x)
+            else:
+                up = evaluator(t + DT_FD, x)
+                um = evaluator(t - DT_FD, x)
+                dudt = (up - um) / (2.0 * DT_FD)
+            lap = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h**2
+            grad = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
+            inner = slice(1, -1)
+            f = model.F(u[:, inner], idx[inner])
+            N = (dudt[:, inner]
+                 - model.d[:, idx[inner]] * lap
+                 - model.q[:, idx[inner]] * grad
+                 - f)
+            Nhat = N / cand.scale(c * t - x[inner])[None, :]
+            if cand.sense == "sub":
+                marg = -Nhat.max(axis=1)
+            else:
+                marg = Nhat.min(axis=1)
+            for i in range(model.m):
+                if marg[i] < worst[i]:
+                    worst[i] = marg[i]
+                    if cand.sense == "sub":
+                        jbad = int(np.argmax(Nhat[i]))
+                    else:
+                        jbad = int(np.argmin(Nhat[i]))
+                    wit = (i + 1, float(t), float(x[inner][jbad]),
+                           float(Nhat[i, jbad]))
+        return worst, wit
+
+    margins, witness = lattice_residual(cand.evaluator, (s_lo, s_hi),
+                                        cand.dudt_evaluator)
+
+    profile_defect = 0.0
+    if cand.bare_evaluator is not None:
+        bare_m, _ = lattice_residual(cand.bare_evaluator,
+                                     cand.bare_region or (s_lo, s_hi),
+                                     cand.bare_dudt_evaluator)
+        profile_defect = float(np.max(np.abs(bare_m)))
+
+    allowance = C_ALLOW * (h**2 + DT_FD**2) + profile_defect
+    b_ok = all(b.margin >= -allowance for b in cand.constraints)
+    verdict = bool(margins.min() >= -allowance and b_ok)
+    if not b_ok and witness is None:
+        witness = [b.name for b in cand.constraints if b.margin < -allowance]
+    return CertReport(kind=cand.kind, params=cand.params, margins=margins,
+                      boundary=list(cand.constraints), allowance=allowance,
+                      verdict=verdict, witness=witness,
+                      profile_defect=profile_defect)
+
+
+def synthetic_profile(model, c):
+    """A smooth front on (node, s) that varies along the cell and between
+    components, and sits close enough to 1 at the cutoff that the z0 scan
+    needs a few trial shifts."""
+    cell = model.cell
+    s = np.arange(-1920, 1921) * cell.h
+    phase = 0.3 * np.sin(2 * np.pi * cell.x / cell.L)
+    arg = (s[None, None, :] + 6.0 + phase[None, :, None]
+           + 0.5 * np.arange(model.m)[:, None, None])
+    return fronts.FrontProfile(c, cell, s, 1.0 / (1.0 + np.exp(-arg)),
+                               np.ones((cell.n, len(s))), 0.0, True,
+                               (-20.0, 20.0))
+
+
+def cert_points(c):
+    """(t, x) samples on and off the node lattice, reaching past both ends
+    of the profiles' s-range."""
+    for t in (0.6, 1.9, 2.8):
+        yield t, c * t - np.linspace(-130.0, 130.0, 2001) + 0.003
+
+
+def assert_same_candidate(model, got, want):
+    assert (got.kind, got.sense, got.params, got.s_region,
+            got.constraints) == (want.kind, want.sense, want.params,
+                                 want.s_region, want.constraints)
+    for t, x in cert_points(got.params["c"]):
+        assert np.array_equal(got.evaluator(t, x), want.evaluator(t, x))
+    assert certify.residual_sign_check(model, got).as_dict() == \
+        ref_residual_sign_check(model, want).as_dict()
+
+
+CERT_CASES = [("constant2", 2.5), ("periodic2", None)]
+
+
+@pytest.mark.parametrize("name,c", CERT_CASES)
+def test_closed_form_candidates_match_reference_builders(name, c):
+    # on constant2 these are criterion 8's four closed-form candidates
+    model = make_model(name)
+    disp = Dispersion(model)
+    c = c or 1.25 * disp.critical_speed()[0]
+    for build, ref, args in [
+            (certify.build_sub_supercritical, ref_build_sub_supercritical,
+             (c, 0.1, 0.1)),
+            (certify.build_sub_critical, ref_build_sub_critical, (0.1, 0.1)),
+            (certify.build_super_linearized, ref_build_super_linearized,
+             (c, 1.0)),
+            (certify.build_super_linearized_critical,
+             ref_build_super_linearized_critical, (1.0, 2.0))]:
+        assert_same_candidate(model, build(model, disp, *args),
+                              ref(model, disp, *args))
+
+
+@pytest.mark.parametrize("model", spectral_models(), ids=lambda m: m.name)
+def test_sub_supercritical_boundary_values_match_reference(model):
+    """The s0 boundary values now come from the subsolution's own field,
+    which takes np.exp of the node array, where the former copy of the
+    formula took math.exp of the scalar s0.  The two exponentials can
+    differ in the last bit, so the margin may move by a few ulp (it does on
+    chain-m), never more; on constant2 and periodic2 it is bit-for-bit
+    equal (test_closed_form_candidates_match_reference_builders)."""
+    disp = Dispersion(model)
+    c0, _ = disp.critical_speed()
+    for c in (1.05 * c0, 1.25 * c0, 2.0 * c0):
+        for delta in ((0.1, 0.1), (0.2, 0.05)):
+            got = certify.build_sub_supercritical(model, disp, c, *delta)
+            want = ref_build_sub_supercritical(model, disp, c, *delta)
+            assert [b.name for b in got.constraints] == \
+                [b.name for b in want.constraints]
+            assert got.constraints[1] == want.constraints[1]
+            g, w = got.constraints[0].margin, want.constraints[0].margin
+            assert abs(g - w) <= 4 * np.spacing(abs(w))
+
+
+@pytest.mark.parametrize("critical", [False, True],
+                         ids=["supercritical", "critical"])
+@pytest.mark.parametrize("name", ["constant2", "periodic2"])
+def test_sandwich_matches_reference_builder(name, critical):
+    model = make_model(name)
+    disp = Dispersion(model)
+    c0, _ = disp.critical_speed()
+    profile = synthetic_profile(model, c0 if critical else 1.25 * c0)
+    pair = principal_eig_coupled(model, at="one")
+    for sign in ("lower", "upper"):
+        default = ref_build_stability_sandwich(model, disp, profile, sign,
+                                               delta=0.01, psi_pair=pair)
+        assert default.params["z0"] > 0.0
+        for kw in ({}, {"sigma": 3.0 * default.params["sigma"], "s0": 0.7}):
+            got = certify.build_stability_sandwich(
+                model, disp, profile, sign, delta=0.01, psi_pair=pair, **kw)
+            want = ref_build_stability_sandwich(
+                model, disp, profile, sign, delta=0.01, psi_pair=pair, **kw)
+            assert_same_candidate(model, got, want)
+            assert (got.bare.s_region, got.bare.sense) == \
+                (want.bare_region, want.sense)
+            for t, x in cert_points(got.params["c"]):
+                for g, w in [(got.dudt_evaluator, want.dudt_evaluator),
+                             (got.bare.evaluator, want.bare_evaluator),
+                             (got.bare.dudt_evaluator,
+                              want.bare_dudt_evaluator)]:
+                    assert np.array_equal(g(t, x), w(t, x))

@@ -172,11 +172,10 @@ class TestTransformation:
             h=[PolyH(c=spec.b1, b=np.stack([-spec.a11, -spec.a12])),
                PolyH(c=spec.b2, b=np.stack([-spec.a21, -spec.a22]))])
         u0 = np.stack([0.4 * np.ones(n), 0.5 * np.ones(n)])
-        _, u_comp = _relax_on_cell(comp, u0, T=2.0, dt=0.005, also_state=True)
+        _, u_comp = _relax_on_cell(comp, u0, T=2.0, dt=0.005)
 
         v0 = np.stack(tc.forward(u0[0], u0[1]))
-        _, v_coop = _relax_on_cell(tc.model, v0, T=2.0, dt=0.005,
-                                   also_state=True)
+        _, v_coop = _relax_on_cell(tc.model, v0, T=2.0, dt=0.005)
         mapped = np.stack(tc.forward(u_comp[0], u_comp[1]))
         h = spec.cell.h
         assert np.max(np.abs(mapped - v_coop)) <= 10 * (h**2 + 0.005)
