@@ -107,6 +107,8 @@ def _resolve_config(args) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    if not isinstance(cfg["out"], str):
+        raise ValueError(f"out must be a directory path, got {cfg['out']!r}")
     return cfg
 
 

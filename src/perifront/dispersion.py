@@ -280,9 +280,9 @@ class Dispersion:
                 raise SpectralGapError(
                     f"cascade component {j + 1} lost positivity at "
                     f"lam = {lam:.6g} (grid too coarse?)")
-            resid = float(np.max(np.abs(kappa1 * phi_j - A_j.matvec(phi_j)
-                                        - rhs)))
-            if resid > CASCADE_RESID_TOL * max(1.0, float(np.max(phi_j))):
+            resid = float(np.abs(kappa1 * phi_j - A_j.matvec(phi_j)
+                                 - rhs).max())
+            if resid > CASCADE_RESID_TOL * max(1.0, float(phi_j.max())):
                 raise SpectralGapError(
                     f"cascade residual {resid:.3e} out of tolerance")
             comps.append(phi_j)

@@ -64,7 +64,7 @@ def _inverse_power(solve, matvec, norm, sigma, v, est, tol):
         nu = norm(w)           # Perron value of (sigma*I - A)^-1 at convergence
         w = w / nu
         value = sigma - 1.0 / nu
-        resid = float(np.max(np.abs(matvec(w) - value * w)))
+        resid = float(np.abs(matvec(w) - value * w).max())
         bound = tol * max(1.0, abs(value))
         done = abs(value - est) <= bound and resid <= bound
         v, est = w, value
@@ -87,8 +87,8 @@ def principal_eig_scalar(spec: OperatorSpec) -> EigenPair:
     sigma = 1.0 + A.gershgorin_max()
     ones = np.ones(A.n)
     kappa, phi, resid, it = _inverse_power(
-        A.shifted_from(sigma).factor().solve, A.matvec, np.mean, sigma,
-        ones, float(A.matvec(ones).mean()), SCALAR_TOL)
+        A.shifted_from(sigma).factor().solve, A.matvec, np.ndarray.mean,
+        sigma, ones, float(A.matvec(ones).mean()), SCALAR_TOL)
     return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
 
 

@@ -14,10 +14,16 @@ Cell operators are factored once, gttrf/gttrs + precomputed border:
 BandedMatrix.factor() runs one LAPACK gttrf of the tridiagonal part and
 solves the rank-1 periodic border once, so each solve is one gttrs plus a
 rank-1 update, bit-for-bit the same as factoring anew with gtsv.
+
+BandedMatrix.matvec and first_derivative reach each node's neighbours by
+gathering through wrap indices, (j + 1) % n and (j - 1) % n, built once per
+n; they give the values of np.roll(v, -1) and np.roll(v, 1) without its
+per-call slicing and copying.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +80,7 @@ class PeriodicField:
         if v.shape != (self.grid.n,):
             raise GridError(
                 f"field has {v.shape} values, grid has {self.grid.n} nodes")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise GridError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
@@ -166,8 +172,8 @@ class BandedMatrix:
         return len(self.main)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return (self.main * v + self.sup * np.roll(v, -1)
-                + self.sub * np.roll(v, 1))
+        nxt, prv = _wrap(self.n)
+        return self.main * v + self.sup * v[nxt] + self.sub * v[prv]
 
     def to_dense(self) -> np.ndarray:
         n = self.n
@@ -193,6 +199,16 @@ class BandedMatrix:
     def factor(self) -> "BandedFactor":
         """Factor once for repeated solves with this matrix."""
         return BandedFactor(self)
+
+
+@functools.cache
+def _wrap(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (j + 1) % n and (j - 1) % n of each node's right
+    and left neighbour on an n-node periodic cell."""
+    j = np.arange(n)
+    nxt, prv = (j + 1) % n, (j - 1) % n
+    nxt.flags.writeable = prv.flags.writeable = False
+    return nxt, prv
 
 
 def make_cell_grid(L: float, n: int) -> CellGrid:
@@ -278,16 +294,16 @@ class BandedFactor:
         solution or a residual above 1e-10 * max(||rhs||, ||x|| ||A||)."""
         rhs = np.asarray(rhs, dtype=float)
         x = self._raw_solve(rhs)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularSystemError("solve produced non-finite values")
 
         # one refinement pass, then enforce the residual contract
         A = self.A
         r = rhs - A.matvec(x)
         x = x + self._raw_solve(r)
-        scale = max(float(np.max(np.abs(rhs))),
-                    float(np.max(np.abs(x))) * self._norm)
-        resid = float(np.max(np.abs(rhs - A.matvec(x))))
+        scale = max(float(np.abs(rhs).max()),
+                    float(np.abs(x).max()) * self._norm)
+        resid = float(np.abs(rhs - A.matvec(x)).max())
         if scale > 0 and resid > 1e-10 * scale:
             raise SingularSystemError(
                 f"residual {resid:.3e} exceeds contract (system near-singular)")
@@ -303,5 +319,5 @@ def solve_cyclic_banded(A: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
 def first_derivative(f: PeriodicField) -> PeriodicField:
     """Periodic central first difference, O(h**2)."""
     v = f.values
-    h = f.grid.h
-    return PeriodicField(f.grid, (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h))
+    nxt, prv = _wrap(len(v))
+    return PeriodicField(f.grid, (v[nxt] - v[prv]) / (2.0 * f.grid.h))

@@ -458,7 +458,7 @@ def _relax_on_cell(model: ReactionModel, u0, T: float, dt: float = 0.02):
     step = _cell_imex_step(model.cell, model.d, model.q, dt)
     for _ in range(int(round(T / dt))):
         u = step(u, model.F(u, xidx))
-    dist = float(np.max(np.abs(u - 1.0)))
+    dist = float(np.abs(u - 1.0).max())
     return dist, u
 
 

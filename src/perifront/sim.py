@@ -283,7 +283,7 @@ class Stepper:
         if self.cfg.right_value >= self.cfg.guard_level:
             return False           # not a front-tracking run
         gb = self.window.npts - GUARD_CELLS * self.model.cell.n
-        return bool(np.any(state.u[0, gb:] > self.cfg.guard_level))
+        return bool(state.u[0, gb:].max() > self.cfg.guard_level)
 
 
 def build_initial_front_like(model, window: WindowGrid, c: float,

@@ -147,6 +147,15 @@ class TestErrors:
         assert not (out / "results.json").exists()
         assert list(out.iterdir()) == []
 
+    def test_non_string_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "out5.json"
+        cfgfile.write_text('{"out": 5}')
+        assert main(["hypotheses", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_competition_needs_competition_model_exit_2(self, tmp_path):
         out = tmp_path / "comp"
         rc = main(["competition", "--model", "constant2", "--out", str(out)])

@@ -22,6 +22,12 @@ The certify candidates are co-moving fields and the sandwich is assembled
 from one corrector, with the arithmetic of the closures they replaced, so
 every evaluator and report must be bit-for-bit equal; only the
 supercritical subsolution's s0 boundary margin may move by a few ulp.
+The cell matvec and first difference gather each node's neighbours
+through wrap indices built once per n, with the operations of the
+np.roll formula in its order (tests/test_properties.py checks the bits),
+so every solve and eigenpair above stays bit-for-bit equal; the spectral
+paths must run with numpy.roll disabled, and an eigensolve takes as many
+iterations as before, each one cheaper.
 """
 
 import dataclasses
@@ -807,6 +813,33 @@ def test_random_pivoting_matrices_are_bitwise_equal(corners):
             continue
         assert np.array_equal(A.factor().solve(rhs), ref)
     assert pivoted > 150
+
+
+def test_spectral_paths_do_not_roll(monkeypatch):
+    """critical_speed, lambda_c, cascade, table and the hypothesis report,
+    H5's cell relaxation included, with numpy.roll raising."""
+    def no_roll(*args, **kwargs):
+        raise AssertionError("numpy.roll called on a cell-kernel path")
+
+    model = make_model("periodic2")
+    monkeypatch.setattr(np, "roll", no_roll)
+    disp = Dispersion(model)
+    c0, lam0 = disp.critical_speed()
+    lam_c = disp.lambda_c(1.2 * c0)
+    assert disp.cascade(lam_c).min_component() > 0.0
+    table = disp.table(np.linspace(0.0, 2.0 * lam0, 5))
+    assert np.isfinite(table["kappa"]).all()
+    rep = models.check_hypotheses(model, run_h5_heuristic=True)
+    assert rep.ok()
+    assert rep["H5"].margin < 1e-10
+
+
+def test_scalar_eigensolve_iterations_are_pinned():
+    """The roll-free matvec makes each iteration cheaper, not the
+    iteration shorter: periodic2's first curve at lam = 0.7 converges in
+    the 7 iterations it took with np.roll."""
+    spec = Dispersion(make_model("periodic2"))._component_spec(0, 0.7)
+    assert principal_eig_scalar(spec).iterations == 7
 
 
 def test_zero_matrix_still_raises():

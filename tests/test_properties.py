@@ -1,5 +1,6 @@
-"""Property tests: each shared kernel against the inline loop it replaced,
-over inputs drawn by hypothesis (derandomized in tests/conftest.py)."""
+"""Property tests: each shared kernel against the inline loop it replaced
+(or, for the cyclic banded solve, a dense solve), over inputs drawn by
+hypothesis (derandomized in tests/conftest.py)."""
 
 import io
 from unittest import mock
@@ -13,6 +14,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import perifront.sim as sim
 from perifront.dispersion import bisect
+from perifront.grid import (BandedMatrix, PeriodicField, first_derivative,
+                            make_cell_grid)
 
 bounds = st.floats(-1e6, 1e6)
 
@@ -53,3 +56,52 @@ def test_write_rows_bytes_are_fstring_bytes(values, prefix, block):
     want = "".join(prefix + ", ".join(f"{v:.17g}" for v in row) + "\n"
                    for row in values.tolist())
     assert fh.getvalue() == want
+
+
+def _vectors(count, elements):
+    """count float64 arrays of one drawn length n in [3, 200]."""
+    return st.integers(3, 200).flatmap(lambda n: st.tuples(
+        *[arrays(np.float64, n, elements=elements)] * count))
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0])
+
+
+@given(arrs=_vectors(4, st.floats(width=64)))
+@example(arrs=(SPECIALS, -SPECIALS, SPECIALS[::-1], np.roll(SPECIALS, 3)))
+def test_matvec_is_the_roll_formula(arrs):
+    """The wrap-index gather gives np.roll's neighbours, so every entry,
+    nan, +-inf and -0.0 included, has the same bits."""
+    sub, main, sup, v = arrs
+    with np.errstate(all="ignore"):
+        got = BandedMatrix(sub, main, sup).matvec(v)
+        want = main * v + sup * np.roll(v, -1) + sub * np.roll(v, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(v=st.integers(16, 200).flatmap(lambda n: arrays(
+    np.float64, n, elements=st.floats(-1e300, 1e300))))
+@example(v=np.tile([-0.0, 0.0, 1e300, -1e300], 4))
+def test_first_derivative_is_the_roll_formula(v):
+    """A PeriodicField holds finite values only: drawn over the whole
+    finite range below overflow, -0.0 included."""
+    grid = make_cell_grid(1.0, len(v))
+    got = first_derivative(PeriodicField(grid, v)).values
+    want = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.h)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("corners", [True, False])
+@given(arrs=_vectors(5, st.floats(-1.0, 1.0)))
+def test_banded_factor_solves_dominant_cyclic_systems(corners, arrs):
+    """Row-wise diagonally dominant by at least 0.5, either sign on the
+    diagonal: the factored solve agrees with the dense LAPACK solve."""
+    sub, sup, pad, sign, rhs = arrs
+    if not corners:
+        sub[0] = sup[-1] = 0.0
+    main = np.where(sign < 0.0, -1.0, 1.0) * (
+        np.abs(sub) + np.abs(sup) + 0.5 + np.abs(pad))
+    A = BandedMatrix(sub, main, sup)
+    x = A.factor().solve(rhs)
+    want = np.linalg.solve(A.to_dense(), rhs)
+    assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
