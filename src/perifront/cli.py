@@ -96,19 +96,47 @@ def _write_csv(path: Path, header: str, rows) -> None:
             _write_rows(fh, rows)
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _check_types(cfg: dict, command: str) -> None:
+    """Every DEFAULTS key holds its default's type; an int stands for a
+    float, model is a name or a dict, and dispersion takes a list of
+    speeds as c."""
+    for key, default in DEFAULTS.items():
+        val = cfg[key]
+        if key == "model":
+            ok, want = isinstance(val, (str, dict)), "a model name or a dict"
+        elif key == "out":
+            ok, want = isinstance(val, str), "a directory path"
+        elif key == "c" and command == "dispersion" and isinstance(val, list):
+            ok, want = all(map(_is_number, val)), "a list of numbers"
+        elif isinstance(default, int):
+            ok = isinstance(val, int) and not isinstance(val, bool)
+            want = "an integer"
+        else:
+            ok, want = _is_number(val), "a number"
+        if not ok:
+            raise ValueError(f"{key} must be {want}, got {val!r}")
+
+
 def _resolve_config(args) -> dict:
     """DEFAULTS and the subcommand's defaults, then the --config file,
     then the flags."""
     cfg = {**DEFAULTS, **COMMAND_DEFAULTS[args.command]}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} must hold a JSON object, got "
+                             f"{type(data).__name__}")
+        cfg.update(data)
     for key in DEFAULTS:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if not isinstance(cfg["out"], str):
-        raise ValueError(f"out must be a directory path, got {cfg['out']!r}")
+    _check_types(cfg, args.command)
     return cfg
 
 

@@ -169,6 +169,10 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     interpolation from their neighbors as long as the gap does not exceed
     MAX_GAP_CELLS cell lengths; wider holes abort the extraction.  With
     anchor=True the s-origin is shifted so U_1(x_{ANCHOR_NODE}, 0) = 1/2.
+
+    Transient memory is O(bins), the (cell node, s) histogram; s is
+    recomputed per snapshot.  The snapshots of t_window are still read
+    from traj, so the caller keeps them stored until the call returns.
     """
     window = traj.window
     cell = window.cell
@@ -187,15 +191,16 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     if not sel:
         raise FrontError("no snapshots in the requested time window")
 
-    svals = [c * t - xw for t, _ in sel]
-    smin = min(float(s.min()) for s in svals)
-    smax = max(float(s.max()) for s in svals)
+    # fl(c t - x) is monotone in x, so the window's end nodes carry every
+    # snapshot's extreme s
+    smin = min(c * t - float(xw[-1]) for t, _ in sel)
+    smax = max(c * t - float(xw[0]) for t, _ in sel)
     k0 = math.floor(smin / h) - 1
     ns = math.ceil(smax / h) - k0 + 2
     sums = np.zeros((m, n, ns))
     counts = np.zeros((n, ns))
-    for (t, u), s in zip(sel, svals):
-        pos = s / h - k0
+    for t, u in sel:
+        pos = (c * t - xw) / h - k0
         kf = np.floor(pos).astype(int)
         wr = pos - kf
         for kk, ww in ((kf, 1.0 - wr), (kf + 1, wr)):
@@ -212,8 +217,10 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     lo, hi = int(good[0]), int(good[-1])
 
     occ = counts[:, lo:hi + 1].copy()
+    del counts
     with np.errstate(invalid="ignore"):
         U = sums[:, :, lo:hi + 1] / np.maximum(occ, 1e-300)[None, :, :]
+    del sums
     s_axis = (np.arange(lo, hi + 1) + k0) * h
 
     # trusted columns: no interpolation needed AND uniformly covered in
@@ -390,24 +397,22 @@ def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
     return ShiftResult(float(z0), float(dist), z_pred)
 
 
-def _diagonal_tables(profile: FrontProfile):
-    """Profile values laid out for window scans: entry [:, k + 1, r] of
-    each table belongs to cell row r at bin kc = k - r, so the window nodes
-    q n + r of one cell read one contiguous row k = K - q n.
+def _diagonal_table(profile: FrontProfile) -> np.ndarray:
+    """Profile values laid out for window scans: entry [:, k + 2, r]
+    belongs to cell row r at bin kc = k - r, so the window nodes q n + r of
+    one cell read one contiguous row k = K - q n.
 
-    With pos = kc + frac the interpolant is lo (1 - frac) + hi frac for
-    frac > 0 and at for frac = 0, each clamped like FrontProfile.eval: 0
-    for pos < 0 and 1 for pos > ns - 1."""
+    Bins left of the profile hold 0 and bins right of it 1, the clamps of
+    FrontProfile.eval.  With two leading rows of zeros and at least two
+    trailing rows of ones in every column, a row index clipped to either
+    end and the row after it read clamp values only."""
     m, n, ns = profile.U.shape
-    lo, hi, at = np.zeros((3, m, ns + n + 1, n))
+    tab = np.zeros((m, ns + n + 3, n))
     for r in range(n):
-        a = r + 1                              # table index of kc = 0
-        lo[:, a:a + ns - 1, r] = profile.U[:, r, :-1]
-        hi[:, a:a + ns - 1, r] = profile.U[:, r, 1:]
-        at[:, a:a + ns, r] = profile.U[:, r, :]
-        lo[:, a + ns - 1:, r] = hi[:, a + ns - 1:, r] = 1.0
-        at[:, a + ns:, r] = 1.0
-    return lo, hi, at
+        a = r + 2                              # table index of kc = 0
+        tab[:, a:a + ns, r] = profile.U[:, r, :]
+        tab[:, a + ns:, r] = 1.0
+    return tab
 
 
 def convergence_metric(traj, profile: FrontProfile,
@@ -416,39 +421,55 @@ def convergence_metric(traj, profile: FrontProfile,
     profile evaluated in the co-moving frame.
 
     Returns (times, shifts, dists); the late-time limit of the shift series
-    estimates the front's asymptotic phase.
+    estimates the front's asymptotic phase.  Besides the snapshots it reads
+    from traj, its transient memory is O(bins): one padded copy of the
+    profile's U and the scan over 25 trial shifts of one snapshot.
     """
     window = traj.window
     n = window.cell.n
     margin = CONVERGENCE_MARGIN_CELLS * n
     c = profile.c
     h = profile.h_s
+    ns = len(profile.s)
     _check_same_lattice(h, window.h)
     # window and profile share the h-lattice: node j = q n + r of the
     # scanned range sits at bin position A - j of row r, with A = (c t +
     # shift - x_0 - s_0)/h, so one weight per (snapshot, shift) serves
-    # every node, and cell q reads table row floor(A) - q n
+    # every node, and cell q reads table row floor(A) + 2 - q n
     nw = window.npts - 2 * margin
     q_n = np.arange(0, nw + n - 1, n)
-    lo, hi, at = _diagonal_tables(profile)
-    top = lo.shape[1] - 1
+    tab = _diagonal_table(profile)
+    top = tab.shape[1] - 2
     x0 = float(window.x[margin])
 
     def dists(usub, t, zs):
         """sup distance for every shift in zs (one batched evaluation)."""
         A = (c * t - x0 + zs - profile.s[0]) / h
         K = np.floor(A)
-        frac = (A - K)[:, None, None]
-        rows = np.clip(K.astype(int)[:, None] + 1 - q_n, 0, top)
+        frac = A - K
+        kc = K.astype(int)
+        rows = np.clip(kc[:, None] + 2 - q_n, 0, top)
         # np.take keeps the (m, shifts, cells, n) result C-ordered
-        pred = np.take(lo, rows, axis=1)
-        pred *= 1.0 - frac
-        pred += np.take(hi, rows, axis=1) * frac
-        on_node = frac[:, 0, 0] == 0.0
-        pred[:, on_node] = np.take(at, rows[on_node], axis=1)
-        pred = pred.reshape(len(usub), len(zs), -1)[:, :, :nw]
-        pred -= usub[:, None, :]
-        return np.abs(pred, out=pred).max(axis=(0, 2))
+        pred = np.take(tab, rows, axis=1)
+        pred *= (1.0 - frac)[:, None, None]
+        nxt = np.take(tab, rows + 1, axis=1)
+        nxt *= frac[:, None, None]
+        pred += nxt
+        del nxt
+        # node j sits at bin kc - j; between nodes the interpolant leaves
+        # the profile as 0 (1 - frac) + 0 frac at bin -1 and enters the
+        # right clamp as 1 (1 - frac) + 1 frac at bin ns - 1, where the
+        # table's neighbours hold U instead
+        flat = pred.reshape(len(usub), len(zs), -1)
+        for j, val in ((kc + 1, np.zeros_like(frac)),
+                       (kc - ns + 1, (1.0 - frac) + frac)):
+            hit = np.nonzero((j >= 0) & (j < nw))[0]
+            flat[:, hit, j[hit]] = val[hit]
+        on_node = frac == 0.0
+        pred[:, on_node] = np.take(tab, rows[on_node], axis=1)
+        flat = flat[:, :, :nw]
+        flat -= usub[:, None, :]
+        return np.abs(flat, out=flat).max(axis=(0, 2))
 
     times, shifts, dist_out = [], [], []
     shift_prev = 0.0

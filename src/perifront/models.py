@@ -690,6 +690,8 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                    margin benchmark for A1, A3-A6).
     competition-strong  asymmetric constants for which exclusion of species 2
                    (hence H8 for the transformed model) genuinely holds.
+
+    Any other name raises ValueError.
     """
     if name in ("constant2", "periodic2"):
         cell = cell or make_cell_grid(1.0, 64)
@@ -759,7 +761,7 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                 couplings[(i, i - 1)] = np.full(n, a)
         return ReactionModel(cell, d, q, couplings, hs, name=name)
 
-    raise PerifrontError(f"unknown model name: {name!r}")
+    raise ValueError(f"unknown model name: {name!r}")
 
 
 def make_competition_spec(name: str, cell: CellGrid | None = None,
@@ -778,4 +780,4 @@ def make_competition_spec(name: str, cell: CellGrid | None = None,
         b1 = 1.0 + 0.3 * np.cos(2 * np.pi * cell.x / cell.L)
         return CompetitionSpec(cell, one, one, zero, zero, b1, one,
                                one, 0.3 * one, 1.5 * one, one)
-    raise PerifrontError(f"unknown competition spec: {name!r}")
+    raise ValueError(f"unknown competition spec: {name!r}")

@@ -156,6 +156,42 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert list(tmp_path.iterdir()) == [cfgfile]
 
+    def test_unknown_model_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "hyp"
+        assert main(["hypotheses", "--model", "foo", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: unknown model name: 'foo'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[1]", "JSON object"),
+        ('{"n": [64]}', "n must be an integer"),
+        ('{"T": "30"}', "T must be a number"),
+        ('{"window_cells": 120.0}', "window_cells must be an integer"),
+        ('{"c": [2.5]}', "c must be a number"),
+        ('{"model": 5}', "model must be a model name or a dict"),
+    ])
+    def test_wrongly_typed_config_exit_2(self, tmp_path, capsys, text, key):
+        cfgfile = tmp_path / "typed.json"
+        cfgfile.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert key in err[0]
+        assert not out.exists()
+
+    def test_int_for_float_and_speed_list_are_accepted(self, tmp_path):
+        # an int stands for a float, and dispersion takes a list of speeds
+        cfgfile = tmp_path / "ok.json"
+        cfgfile.write_text('{"c": [3, 2.5], "L": 1, "n": 32}')
+        out = tmp_path / "disp"
+        assert main(["dispersion", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+        res = read_json(out / "results.json")
+        assert sorted(res["lambda_c"]) == ["2.5", "3"]
+
     def test_competition_needs_competition_model_exit_2(self, tmp_path):
         out = tmp_path / "comp"
         rc = main(["competition", "--model", "constant2", "--out", str(out)])

@@ -28,6 +28,11 @@ np.roll formula in its order (tests/test_properties.py checks the bits),
 so every solve and eigenpair above stays bit-for-bit equal; the spectral
 paths must run with numpy.roll disabled, and an eigensolve takes as many
 iterations as before, each one cheaper.
+extract_profile takes the s-range from the window's end nodes and
+recomputes s per snapshot instead of storing it, and convergence_metric
+reads one padded diagonal table instead of three, so profiles and
+convergence series must be bit-for-bit equal, while the transient memory
+of both follows the profile's bins, not the snapshots.
 """
 
 import dataclasses
@@ -35,6 +40,7 @@ import itertools
 import math
 import multiprocessing
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,8 +66,8 @@ from perifront.certify import (BoundaryCheck, CertReport, C_ALLOW, CHI_WIDTH,
 from perifront.cli import _write_csv
 from perifront.dispersion import golden_section_min
 from perifront.eigen import MAX_ITER, principal_eig_scalar
-from perifront.errors import (CertificationError, ReducibleCouplingError,
-                              SingularSystemError)
+from perifront.errors import (CertificationError, FrontError,
+                              ReducibleCouplingError, SingularSystemError)
 from perifront.grid import (BandedMatrix, OperatorSpec, PeriodicField,
                             assemble_tilted_operator, solve_cyclic_banded)
 from perifront.models import (PolyH, ReactionModel, _h7_scan,
@@ -264,6 +270,176 @@ def ref_convergence_metric(traj, profile, margin_cells=5, shift_bracket=6.0):
         dists.append(float(d0))
         shift_prev = float(z0)
     return np.asarray(times), np.asarray(shifts), np.asarray(dists)
+
+
+def ref_extract_profile(traj, c, t_window=None, anchor=True, min_count=5.0,
+                        margin_cells=3):
+    """One stored s = c t - x array per snapshot, kept for its min and
+    max."""
+    window = traj.window
+    cell = window.cell
+    n = cell.n
+    h = cell.h
+    # exclude the Dirichlet boundary layers from the statistics
+    trim = slice(margin_cells * n, window.npts - margin_cells * n)
+    xw = window.x[trim]
+    xidx_w = window.xidx[trim]
+    m = traj.snapshots[0].shape[0]
+
+    if t_window is None:
+        t_window = (traj.times[0], traj.times[-1])
+    sel = [(t, u[:, trim]) for t, u in zip(traj.times, traj.snapshots)
+           if t_window[0] <= t <= t_window[1]]
+    if not sel:
+        raise FrontError("no snapshots in the requested time window")
+
+    svals = [c * t - xw for t, _ in sel]
+    smin = min(float(s.min()) for s in svals)
+    smax = max(float(s.max()) for s in svals)
+    k0 = math.floor(smin / h) - 1
+    ns = math.ceil(smax / h) - k0 + 2
+    sums = np.zeros((m, n, ns))
+    counts = np.zeros((n, ns))
+    for (t, u), s in zip(sel, svals):
+        pos = s / h - k0
+        kf = np.floor(pos).astype(int)
+        wr = pos - kf
+        for kk, ww in ((kf, 1.0 - wr), (kf + 1, wr)):
+            flat = xidx_w * ns + kk
+            np.add.at(counts.ravel(), flat, ww)
+            for i in range(m):
+                np.add.at(sums[i].ravel(), flat, ww * u[i])
+
+    # a column is trusted when every cell row meets the occupancy threshold
+    full = (counts >= min_count).all(axis=0)
+    good = np.nonzero(full)[0]
+    if len(good) < 8:
+        raise FrontError("insufficient occupancy: too few full s-columns")
+    lo, hi = int(good[0]), int(good[-1])
+
+    occ = counts[:, lo:hi + 1].copy()
+    with np.errstate(invalid="ignore"):
+        U = sums[:, :, lo:hi + 1] / np.maximum(occ, 1e-300)[None, :, :]
+    s_axis = (np.arange(lo, hi + 1) + k0) * h
+
+    # trusted columns: no interpolation needed AND uniformly covered in
+    # time (bins outside [c t1 - x_max, c t0 - x_min] aggregate partial
+    # time windows, which leaves staircase artifacts in the averages)
+    t0 = min(t for t, _ in sel)
+    t1 = max(t for t, _ in sel)
+    cov = (s_axis >= c * t1 - float(xw.max())) & \
+          (s_axis <= c * t0 - float(xw.min()))
+    solid = full[lo:hi + 1] & cov
+    best_len, best_lo, cur_lo = 0, 0, None
+    for k, flag in enumerate(np.concatenate([solid, [False]])):
+        if flag and cur_lo is None:
+            cur_lo = k
+        elif not flag and cur_lo is not None:
+            if k - cur_lo > best_len:
+                best_len, best_lo = k - cur_lo, cur_lo
+            cur_lo = None
+    if best_len == 0:
+        raise FrontError("no s-column is covered by the full time window")
+    solid_rng = (best_lo, best_lo + best_len - 1)
+
+    # fill undersampled interior bins per row by interpolation in s
+    max_gap = fronts.MAX_GAP_CELLS * cell.L
+    for r in range(n):
+        ok = occ[r] >= min_count
+        if ok.all():
+            continue
+        good_s = s_axis[ok]
+        gaps = np.diff(good_s)
+        if not ok[0] or not ok[-1] or (len(gaps) and gaps.max() > max_gap):
+            raise FrontError(
+                "insufficient occupancy: holes inside the s-grid exceed "
+                f"{fronts.MAX_GAP_CELLS} cell length(s)")
+        for i in range(m):
+            U[i, r, ~ok] = np.interp(s_axis[~ok], good_s, U[i, r, ok])
+        occ[r, ~ok] = 0.0
+
+    incr = np.diff(U, axis=2)
+    defect = float(max(0.0, -np.nanmin(incr)))
+
+    if anchor:
+        row = U[0, fronts.ANCHOR_NODE]
+        above = row >= 0.5
+        if not above.any() or above.all():
+            raise FrontError("cannot anchor: U_1 does not cross 1/2")
+        j = int(np.nonzero(~above[:-1] & above[1:])[0][0])
+        frac = (0.5 - row[j]) / (row[j + 1] - row[j])
+        s_half = s_axis[j] + frac * h
+        s_axis = s_axis - s_half
+
+    return fronts.FrontProfile(
+        c=c, cell=cell, s=s_axis, U=U, occupancy=occ,
+        monotonicity_defect=defect, anchored=anchor,
+        s_solid=(float(s_axis[solid_rng[0]]), float(s_axis[solid_rng[1]])))
+
+
+def ref_diagonal_tables(profile):
+    """Three diagonal tables: lo and hi, the interpolation neighbours
+    between nodes, and at, the value on a node."""
+    m, n, ns = profile.U.shape
+    lo, hi, at = np.zeros((3, m, ns + n + 1, n))
+    for r in range(n):
+        a = r + 1                              # table index of kc = 0
+        lo[:, a:a + ns - 1, r] = profile.U[:, r, :-1]
+        hi[:, a:a + ns - 1, r] = profile.U[:, r, 1:]
+        at[:, a:a + ns, r] = profile.U[:, r, :]
+        lo[:, a + ns - 1:, r] = hi[:, a + ns - 1:, r] = 1.0
+        at[:, a + ns:, r] = 1.0
+    return lo, hi, at
+
+
+def ref_table_convergence_metric(traj, profile, shift_bracket=6.0):
+    """convergence_metric reading the three tables of ref_diagonal_tables."""
+    window = traj.window
+    n = window.cell.n
+    margin = fronts.CONVERGENCE_MARGIN_CELLS * n
+    c = profile.c
+    h = profile.h_s
+    fronts._check_same_lattice(h, window.h)
+    # window and profile share the h-lattice: node j = q n + r of the
+    # scanned range sits at bin position A - j of row r, with A = (c t +
+    # shift - x_0 - s_0)/h, so one weight per (snapshot, shift) serves
+    # every node, and cell q reads table row floor(A) - q n
+    nw = window.npts - 2 * margin
+    q_n = np.arange(0, nw + n - 1, n)
+    lo, hi, at = ref_diagonal_tables(profile)
+    top = lo.shape[1] - 1
+    x0 = float(window.x[margin])
+
+    def dists(usub, t, zs):
+        """sup distance for every shift in zs (one batched evaluation)."""
+        A = (c * t - x0 + zs - profile.s[0]) / h
+        K = np.floor(A)
+        frac = (A - K)[:, None, None]
+        rows = np.clip(K.astype(int)[:, None] + 1 - q_n, 0, top)
+        # np.take keeps the (m, shifts, cells, n) result C-ordered
+        pred = np.take(lo, rows, axis=1)
+        pred *= 1.0 - frac
+        pred += np.take(hi, rows, axis=1) * frac
+        on_node = frac[:, 0, 0] == 0.0
+        pred[:, on_node] = np.take(at, rows[on_node], axis=1)
+        pred = pred.reshape(len(usub), len(zs), -1)[:, :, :nw]
+        pred -= usub[:, None, :]
+        return np.abs(pred, out=pred).max(axis=(0, 2))
+
+    times, shifts, dist_out = [], [], []
+    shift_prev = 0.0
+    for t, u in zip(traj.times, traj.snapshots):
+        usub = u[:, margin:-margin]
+        zs = shift_prev + np.linspace(-shift_bracket, shift_bracket, 25)
+        zbest = zs[int(np.argmin(dists(usub, t, zs)))]
+        z0, d0 = golden_section_min(
+            lambda z: float(dists(usub, t, np.array([z]))[0]),
+            zbest - 0.5, zbest + 0.5, tol=1e-6)
+        times.append(t)
+        shifts.append(float(z0))
+        dist_out.append(float(d0))
+        shift_prev = float(z0)
+    return np.asarray(times), np.asarray(shifts), np.asarray(dist_out)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +819,8 @@ def test_convergence_metric_matches_reference(profiles, kind):
     want = ref_convergence_metric(traj, prof)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-12
+    for g, w in zip(got, ref_table_convergence_metric(traj, prof)):
+        assert np.array_equal(g, w)
 
 
 def test_convergence_metric_clamps_at_both_ends():
@@ -660,9 +838,109 @@ def test_convergence_metric_clamps_at_both_ends():
         want = ref_convergence_metric(traj, prof, shift_bracket=12.0)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-12
+        tables = ref_table_convergence_metric(traj, prof, shift_bracket=12.0)
+        for g, w in zip(got, tables):
+            assert np.array_equal(g, w)
         # the clamps cost a few percent of fit, the front is still found
         assert np.allclose(got[1], 8.0 - C * start, atol=0.5)
         assert np.max(got[2]) <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# profile analyses sized by the profile
+
+
+PROFILE_MODELS = MODELS[:3]
+
+
+@pytest.fixture(scope="module",
+                params=list(itertools.product(PROFILE_MODELS, (0.025, 0.03))),
+                ids=lambda p: f"{p[0][0]}-dt{p[1]}")
+def cauchy_run(request):
+    """A Cauchy run on the 16-node cell; at snapshot_dt = 0.025 the front
+    moves c snapshot_dt / h = 1 bin between snapshots, at 0.03 1.2 bins."""
+    (name, kw), snapshot_dt = request.param
+    model = make_model(name, make_cell_grid(1.0, 16), **kw)
+    window = WindowGrid(model.cell, 80)
+    st = sim.build_initial_front_like(model, window, C, k=1.0, eps0=0.1,
+                                      disp=Dispersion(model))
+    cfg = StepperConfig(dt=0.005, snapshot_dt=snapshot_dt)
+    return sim.run(model, st, window, cfg, 8.0, store_from=3.0)
+
+
+def assert_same_profile(got, want):
+    assert np.array_equal(got.s, want.s)
+    assert np.array_equal(got.U, want.U)
+    assert np.array_equal(got.occupancy, want.occupancy)
+    assert got.s_solid == want.s_solid
+    assert got.monotonicity_defect == want.monotonicity_defect
+    assert got.anchored == want.anchored
+
+
+@pytest.mark.parametrize("t_window", [None, (4.0, 7.0)])
+@pytest.mark.parametrize("anchor", [False, True])
+def test_extract_profile_is_bitwise_equal(cauchy_run, t_window, anchor):
+    got = extract_profile(cauchy_run, C, t_window=t_window, anchor=anchor,
+                          min_count=3)
+    want = ref_extract_profile(cauchy_run, C, t_window=t_window,
+                               anchor=anchor, min_count=3)
+    assert_same_profile(got, want)
+
+
+def test_convergence_metric_is_bitwise_equal(cauchy_run):
+    prof = extract_profile(cauchy_run, C, t_window=(4.0, 7.0), min_count=3)
+    sparse = Trajectory(cauchy_run.window, cauchy_run.times[::10],
+                        cauchy_run.snapshots[::10])
+    # the run's own profile, and the 3-cell slices of it that end and
+    # start at U_1 = 1/2, so that the sup distance sits where the window's
+    # nodes leave a slice between the lattice nodes (the clamps to 1 and 0)
+    half = int(np.argmin(np.abs(prof.s)))
+    cases = [(prof, 6.0)]
+    for cut in (slice(half - 48, half), slice(half, half + 48)):
+        cases.append((fronts.FrontProfile(
+            prof.c, prof.cell, prof.s[cut], prof.U[:, :, cut].copy(),
+            prof.occupancy[:, cut], 0.0, True), 12.0))
+    for p, bracket in cases:
+        got = convergence_metric(sparse, p, shift_bracket=bracket)
+        want = ref_table_convergence_metric(sparse, p, shift_bracket=bracket)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def traced_peak(fn, *args, **kw):
+    """fn's result and the peak bytes it allocated beyond those live at
+    the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_extract_profile_memory_follows_the_bins():
+    # 762 and 1143 snapshots of one time span: the stored s arrays took
+    # half the bytes of the snapshots read, the histogram's bytes follow
+    # the profile's bins at either cadence
+    per_byte = []
+    for dt in (0.0105, 0.007):
+        traj = synthetic_traj(15.0, dt=dt)
+        read = sum(u.nbytes for u in traj.snapshots)
+        prof, peak = traced_peak(extract_profile, traj, C, min_count=3)
+        assert peak < 0.2 * read
+        per_byte.append(peak / prof.U.nbytes)
+    assert per_byte[1] < 1.05 * per_byte[0]
+
+
+def test_convergence_metric_memory_follows_the_profile(profiles):
+    # three tables took three copies of U; one table takes one, and the
+    # 25-shift scan of this 15-cell stretch takes less than another
+    traj = synthetic_traj(17.0, cells=25, t_end=2.0, dt=0.2)
+    prof = profiles["anchored_a"]
+    _, peak = traced_peak(convergence_metric, traj, prof)
+    assert peak < 2 * prof.U.nbytes
 
 
 # ---------------------------------------------------------------------------
