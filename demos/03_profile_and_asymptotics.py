@@ -33,7 +33,7 @@ for f in fits:
           f"(lambda_c = {lam_c:.5f}), rho = {f.rho_est:.4f}, "
           f"ratio flatness {f.goodness:.4f} over {f.decades:.1f} decades")
 
-lo, hi = log_derivative_diagnostics(profile, level=1e-2)[0]
+lo, hi = log_derivative_diagnostics(profile)[0]
 print(f"tail logarithmic slope in [{lo:.4f}, {hi:.4f}] "
       f"(bracketing lambda_c = {lam_c:.4f})")
 print(f"component ratio bound K_c = {component_ratio_bound(profile):.4f} "

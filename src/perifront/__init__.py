@@ -8,8 +8,8 @@ from .grid import (CellGrid, PeriodicField, OperatorSpec, BandedMatrix,
 from .eigen import (EigenPair, CoupledEigenPair, principal_eig_scalar,
                     principal_eig_coupled, coupled_perron)
 from .dispersion import (Dispersion, VectorEigenfunction,
-                         EigenfunctionDerivative, LinearizedFront,
-                         golden_section_min, boundary_speeds_A6)
+                         EigenfunctionDerivative, golden_section_min,
+                         boundary_speeds_A6)
 from .models import (PolyH, ReactionModel, CompetitionSpec,
                      TransformedCompetition, HypothesisReport,
                      check_hypotheses, competition_steady_states,

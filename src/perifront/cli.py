@@ -12,6 +12,7 @@ Exit codes: 0 all requested checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 from pathlib import Path
@@ -122,8 +123,8 @@ def _check_types(cfg: dict, command: str) -> None:
 
 
 def _resolve_config(args) -> dict:
-    """DEFAULTS and the subcommand's defaults, then the --config file,
-    then the flags."""
+    """DEFAULTS and the subcommand's defaults, then the --config file
+    (whose keys must all be DEFAULTS keys), then the flags."""
     cfg = {**DEFAULTS, **COMMAND_DEFAULTS[args.command]}
     if args.config:
         with open(args.config) as fh:
@@ -131,6 +132,11 @@ def _resolve_config(args) -> dict:
         if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object, got "
                              f"{type(data).__name__}")
+        for key in data:
+            if key not in DEFAULTS:
+                near = difflib.get_close_matches(key, DEFAULTS, n=1)
+                raise ValueError(f"unknown config key {key!r}" + (
+                    f"; did you mean {near[0]!r}?" if near else ""))
         cfg.update(data)
     for key in DEFAULTS:
         val = getattr(args, key)

@@ -28,7 +28,6 @@ from .eigen import principal_eig_scalar
 __all__ = [
     "VectorEigenfunction",
     "EigenfunctionDerivative",
-    "LinearizedFront",
     "Dispersion",
     "golden_section_min",
     "bracket_and_minimize",
@@ -120,40 +119,11 @@ class VectorEigenfunction:
 class EigenfunctionDerivative:
     lam: float
     components: tuple          # m PeriodicFields, unconstrained sign
-    dlam: float
     kappa1_prime: float
     richardson_defect: float
 
     def as_array(self) -> np.ndarray:
         return np.stack([c.values for c in self.components])
-
-
-@dataclass(frozen=True)
-class LinearizedFront:
-    """Closed-form front-like solution of the linearized system:
-    w(t, x) = k * exp(lam_c (c t - x e)) * Phi_{lam_c}(x)."""
-
-    c: float
-    k: float
-    lam_c: float
-    phi: VectorEigenfunction
-    e: int = 1
-
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s = self.c * t - x * self.e
-        vals = _periodic_eval_stack(self.phi, x)
-        return self.k * np.exp(self.lam_c * s)[None, :] * vals
-
-
-def _periodic_eval_stack(phi: VectorEigenfunction, x: np.ndarray) -> np.ndarray:
-    grid = phi.components[0].grid
-    pos = np.mod(x, grid.L) / grid.h
-    j0 = np.floor(pos).astype(int) % grid.n
-    frac = pos - np.floor(pos)
-    j1 = (j0 + 1) % grid.n
-    arr = phi.as_array()
-    return arr[:, j0] * (1.0 - frac) + arr[:, j1] * frac
 
 
 class Dispersion:
@@ -237,17 +207,13 @@ class Dispersion:
         lo, hi = bisect(lambda lam: g(lam) > 0.0, 1e-12, lam0, 200, 1e-13)
         return 0.5 * (lo + hi)
 
-    def kappa1_prime(self, lam: float, dlam: float | None = None) -> float:
-        if dlam is None:
-            dlam = 1e-4 * max(1.0, abs(lam))
+    def kappa1_prime(self, lam: float, dlam: float) -> float:
         return (self.kappa(0, lam + dlam) - self.kappa(0, lam - dlam)) / (2 * dlam)
 
     # -- vector eigenfunctions --------------------------------------------
 
     def spectral_gap(self, lam: float) -> float:
         """kappa_1(lam) - max_{j>=2} kappa_j(lam); positive under (H6)."""
-        if self.model.m < 2:
-            return np.inf
         return self.kappa(0, lam) - max(
             self.kappa(j, lam) for j in range(1, self.model.m))
 
@@ -314,15 +280,7 @@ class Dispersion:
         kprime = self.kappa1_prime(lam, dlam)
         return EigenfunctionDerivative(
             lam, tuple(PeriodicField(cell, der[i]) for i in range(len(der))),
-            dlam, kprime, defect)
-
-    # -- closed-form linearized fronts ------------------------------------
-
-    def linearized_front(self, c: float, k: float = 1.0) -> LinearizedFront:
-        if k <= 0.0:
-            raise PerifrontError("amplitude k must be positive")
-        lam_c = self.lambda_c(c)
-        return LinearizedFront(c, k, lam_c, self.cascade(lam_c), self.e)
+            kprime, defect)
 
     def epsilon_rule(self, c: float) -> float:
         """Tail-perturbation exponent for the supercritical subsolution:

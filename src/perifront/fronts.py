@@ -39,6 +39,7 @@ MAX_GAP_CELLS = 1.0    # and fills holes up to this many cells wide
 CONVERGENCE_MARGIN_CELLS = 5   # window edge cells convergence_metric skips
 DECAY_FLOOR = 1e-12    # fit_decay's smallest fitted tail value
 MIN_DECADES = 3.0      # and the decades the fitted tail must span
+LOG_DERIVATIVE_LEVEL = 1e-2    # left-tail level of log_derivative_diagnostics
 
 
 def front_position(u: np.ndarray, x: np.ndarray, level: float) -> float:
@@ -90,7 +91,6 @@ class FrontProfile:
     U: np.ndarray              # (m, n_cell, ns); NaN where unobserved
     occupancy: np.ndarray      # (n_cell, ns)
     monotonicity_defect: float
-    anchored: bool
     s_solid: tuple = None      # s-range where every row met the threshold
 
     def __post_init__(self):
@@ -113,8 +113,7 @@ class FrontProfile:
                 out += w * padded[:, :, k:k + U.shape[2]]
             U = out
         return FrontProfile(self.c, self.cell, self.s, U, self.occupancy,
-                            self.monotonicity_defect, self.anchored,
-                            self.s_solid)
+                            self.monotonicity_defect, self.s_solid)
 
     @property
     def h_s(self) -> float:
@@ -273,7 +272,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
         s_axis = s_axis - s_half
 
     return FrontProfile(c=c, cell=cell, s=s_axis, U=U, occupancy=occ,
-                        monotonicity_defect=defect, anchored=anchor,
+                        monotonicity_defect=defect,
                         s_solid=(float(s_axis[solid_rng[0]]),
                                  float(s_axis[solid_rng[1]])))
 
@@ -284,7 +283,6 @@ class FitResult:
     lambda_est: float
     rho_est: float
     tau_mode: int
-    s_window: tuple
     goodness: float
     decades: float
 
@@ -311,7 +309,6 @@ def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
     if decades < MIN_DECADES:
         raise FrontError(
             f"tail spans only {decades:.2f} decades (< {MIN_DECADES})")
-    sw = (float(s[mask].min()), float(s[mask].max()))
 
     results = []
     smask = s[mask]
@@ -330,7 +327,7 @@ def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
         ok = np.isfinite(ys)
         A = np.stack([xs[ok], np.ones(ok.sum())], axis=1)
         coef, *_ = np.linalg.lstsq(A, ys[ok], rcond=None)
-        results.append(FitResult(i, float(coef[0]), rho, tau_mode, sw,
+        results.append(FitResult(i, float(coef[0]), rho, tau_mode,
                                  goodness, decades))
     return results
 
@@ -487,9 +484,10 @@ def convergence_metric(traj, profile: FrontProfile,
     return np.asarray(times), np.asarray(shifts), np.asarray(dist_out)
 
 
-def log_derivative_diagnostics(profile: FrontProfile, level: float = 1e-2):
-    """Min and max of the logarithmic s-derivative over the left tail
-    (positivity of both bounds is the front-steepness estimate).
+def log_derivative_diagnostics(profile: FrontProfile):
+    """Min and max of the logarithmic s-derivative of each U_i over the
+    left tail, where U_i <= LOG_DERIVATIVE_LEVEL at every node (positivity
+    of both bounds is the front-steepness estimate).
 
     Columns holding a bin with U_i <= 0 have no logarithmic derivative and
     are left out."""
@@ -498,7 +496,7 @@ def log_derivative_diagnostics(profile: FrontProfile, level: float = 1e-2):
     h = profile.h_s
     out = []
     for i in range(profile.m):
-        mask = np.nanmax(U[i], axis=0) <= level
+        mask = np.nanmax(U[i], axis=0) <= LOG_DERIVATIVE_LEVEL
         cols = np.nonzero(mask)[0]
         cols = cols[(cols > 0) & (cols < len(s) - 1)]
         cols = cols[~(U[i][:, cols] <= 0.0).any(axis=0)]

@@ -44,6 +44,7 @@ __all__ = [
 
 DU_SAMPLES = 3     # lattice points per component for |dh/du| (affine in u)
 BOX_SAMPLES = 5    # and on [0, 1] for reaction_lipschitz and H3
+STEADY_RATE_TOL = 1e-10   # steady-state iteration stops at max |u_t| <= this
 
 
 def dependency_lattice(deps, pts, m: int, n: int, fill: float = 0.0):
@@ -265,6 +266,12 @@ class HypothesisReport:
             raise PerifrontError(f"fail entry {name} requires a witness")
         self.entries[name] = HypothesisEntry(verdict, margin, witness, note)
 
+    def check(self, name, ok, margin, witness, note):
+        """A pass entry if ok, else a fail entry; only a fail keeps the
+        witness."""
+        self.add(name, "pass" if ok else "fail", margin,
+                 None if ok else witness, note)
+
     def __getitem__(self, name) -> HypothesisEntry:
         return self.entries[name]
 
@@ -321,43 +328,40 @@ def check_hypotheses(model: ReactionModel,
     m = model.m
 
     # H1: triangular structure is built in; check the sign conditions
-    h1_ok, h1_wit = True, None
+    h1_wit = None
     for i in range(1, m):
         zi = model.zeta(i)
         if zi.max() >= 0.0:
-            h1_ok, h1_wit = False, ("zeta", i + 1, int(np.argmax(zi)))
+            h1_wit = ("zeta", i + 1, int(np.argmax(zi)))
             break
         strict = [j for j in range(i)
                   if model.coupling(i, j) is not None
                   and model.coupling(i, j).min() > 0.0]
         if not strict:
-            h1_ok, h1_wit = False, ("coupling-row", i + 1)
+            h1_wit = ("coupling-row", i + 1)
             break
     margin_h1 = min(
         (-model.zeta(i).max() for i in range(1, m)), default=None)
-    rep.add("H1", "pass" if h1_ok else "fail", margin_h1, h1_wit,
-            "triangular form, zeta_i < 0 (i>=2), some a_ij > 0")
+    rep.check("H1", h1_wit is None, margin_h1, h1_wit,
+              "triangular form, zeta_i < 0 (i>=2), some a_ij > 0")
 
     # H2: F(x, 1) = 0
     ones = np.ones((m, n))
     f1 = model.F(ones, xidx)
     h2_margin = float(np.max(np.abs(f1)))
-    rep.add("H2", "pass" if h2_margin <= 1e-10 else "fail", h2_margin,
-            None if h2_margin <= 1e-10 else ("node", int(np.argmax(np.abs(f1).max(axis=0)))),
-            "F(x, 1) = 0")
+    rep.check("H2", h2_margin <= 1e-10, h2_margin,
+              ("node", int(np.argmax(np.abs(f1).max(axis=0)))), "F(x, 1) = 0")
 
     # H3: cooperativity of the Jacobian on the box lattice
     worst, wit = _cooperativity(model)
-    rep.add("H3", "pass" if worst >= -1e-12 else "fail", worst,
-            None if worst >= -1e-12 else wit,
-            "off-diagonal Jacobian >= 0 on [0,1]^m lattice")
+    rep.check("H3", worst >= -1e-12, worst, wit,
+              "off-diagonal Jacobian >= 0 on [0,1]^m lattice")
 
     disp = Dispersion(model)
 
     # H4: kappa_1(0) > 0
     k0 = disp.kappa(0, 0.0)
-    rep.add("H4", "pass" if k0 > 0.0 else "fail", k0,
-            None if k0 > 0.0 else ("kappa1(0)", k0), "kappa_1(0) > 0")
+    rep.check("H4", k0 > 0.0, k0, ("kappa1(0)", k0), "kappa_1(0) > 0")
 
     h6_ok = False
     if k0 > 0.0:
@@ -366,21 +370,18 @@ def check_hypotheses(model: ReactionModel,
             _, lam0 = disp.critical_speed()
             gap = disp.spectral_gap(lam0)
             h6_ok = gap > 0.0
-            rep.add("H6", "pass" if h6_ok else "fail", gap,
-                    None if h6_ok else ("lam", lam0),
-                    "kappa_1 > max_j kappa_j at lam_+0")
+            rep.check("H6", h6_ok, gap, ("lam", lam0),
+                      "kappa_1 > max_j kappa_j at lam_+0")
         except PerifrontError as exc:
             rep.add("H6", "fail", None, ("error", str(exc)))
     else:
         rep.add("H6", "not-checkable", note="needs H4")
 
     # H7 along the critical linearized front, sampled where |w| <= 1
-    if k0 > 0.0 and h6_ok:
-        _, lam0 = disp.critical_speed()
+    if k0 > 0.0 and h6_ok:       # H6 set lam0
         worst, wit = _h7_scan(model, disp.cascade(lam0).as_array(), lam0, 120)
-        rep.add("H7", "pass" if worst >= -1e-10 else "fail", worst,
-                None if worst >= -1e-10 else wit,
-                "h_i(x, w_c) <= h_i(x, 0) along the critical front")
+        rep.check("H7", worst >= -1e-10, worst, wit,
+                  "h_i(x, w_c) <= h_i(x, 0) along the critical front")
     else:
         rep.add("H7", "not-checkable", note="needs H4 and H6")
 
@@ -388,9 +389,8 @@ def check_hypotheses(model: ReactionModel,
     try:
         pair = principal_eig_coupled(model, at="one")
         mu = pair.value
-        rep.add("H8", "pass" if mu < 0.0 else "fail", -mu,
-                None if mu < 0.0 else ("mu_minus", mu),
-                f"mu_minus = {mu:.6g} with positive eigenfunction")
+        rep.check("H8", mu < 0.0, -mu, ("mu_minus", mu),
+                  f"mu_minus = {mu:.6g} with positive eigenfunction")
     except PerifrontError as exc:
         rep.add("H8", "fail", None, ("error", str(exc)))
 
@@ -487,8 +487,6 @@ class CompetitionSpec:
         for name in ("d1", "d2", "a1", "a2", "b1", "b2",
                      "a11", "a12", "a21", "a22"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim == 0:
-                v = np.full(self.cell.n, float(v))
             if v.shape != (self.cell.n,):
                 raise PerifrontError(f"{name} has wrong shape")
             setattr(self, name, v)
@@ -499,12 +497,18 @@ class CompetitionSpec:
                 raise PerifrontError(f"interaction floor violated for {name}")
 
 
-def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
+def _lambda0(cell, d, q, eta) -> float:
+    """Principal eigenvalue of the untilted operator with diffusion d,
+    drift q and zeroth-order coefficient eta on the periodic cell."""
+    return principal_eig_scalar(OperatorSpec(
+        d=PeriodicField(cell, d), q=PeriodicField(cell, q),
+        eta=PeriodicField(cell, eta), lam=0.0)).value
+
+
+def _scalar_logistic_steady_state(cell, d, a, b, aii):
     """Positive periodic steady state of u_t = d u'' + a u' + u (b - aii u),
     by time stepping from the constant supersolution max(b)/min(aii)."""
-    lam0 = principal_eig_scalar(OperatorSpec(
-        d=PeriodicField(cell, d), q=PeriodicField(cell, a),
-        eta=PeriodicField(cell, b), lam=0.0, e=1)).value
+    lam0 = _lambda0(cell, d, a, b)
     if lam0 <= 0.0:
         raise PerifrontError(
             f"lambda_0(d, a, b) = {lam0:.6g} <= 0: no positive steady state")
@@ -515,7 +519,7 @@ def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
         u_new = step(u, u * (b - aii * u))
         rate = float(np.max(np.abs(u_new - u))) / dt
         u = u_new
-        if rate <= tol:
+        if rate <= STEADY_RATE_TOL:
             break
     else:
         raise PerifrontError("steady state iteration did not settle")
@@ -524,12 +528,12 @@ def _scalar_logistic_steady_state(cell, d, a, b, aii, tol):
     return u[0]
 
 
-def competition_steady_states(spec: CompetitionSpec, tol: float = 1e-10):
+def competition_steady_states(spec: CompetitionSpec):
     """Single-species periodic steady states (u1*, u2*)."""
     u1 = _scalar_logistic_steady_state(
-        spec.cell, spec.d1, spec.a1, spec.b1, spec.a11, tol)
+        spec.cell, spec.d1, spec.a1, spec.b1, spec.a11)
     u2 = _scalar_logistic_steady_state(
-        spec.cell, spec.d2, spec.a2, spec.b2, spec.a22, tol)
+        spec.cell, spec.d2, spec.a2, spec.b2, spec.a22)
     return (PeriodicField(spec.cell, u1), PeriodicField(spec.cell, u2))
 
 
@@ -543,8 +547,6 @@ class TransformedCompetition:
     u1_star: PeriodicField
     u2_star: PeriodicField
     a11s: np.ndarray
-    a12s: np.ndarray
-    a21s: np.ndarray
     a22s: np.ndarray
 
     def forward(self, u1, u2):
@@ -577,8 +579,7 @@ def competition_to_cooperative(spec: CompetitionSpec) -> TransformedCompetition:
         couplings={(1, 0): a21s},
         h=[h1, h2],
         name="competition-transformed")
-    return TransformedCompetition(spec, model, u1s, u2s,
-                                  a11s, a12s, a21s, a22s)
+    return TransformedCompetition(spec, model, u1s, u2s, a11s, a22s)
 
 
 def inverse_transform(tc: TransformedCompetition, coop_state: np.ndarray,
@@ -600,36 +601,28 @@ def check_competition_assumptions(tc: TransformedCompetition,
     heuristic sweep of periodic initial data."""
     spec, cell = tc.spec, tc.spec.cell
     rep = HypothesisReport()
-
-    def lam0(d, q, b):
-        return principal_eig_scalar(OperatorSpec(
-            d=PeriodicField(cell, d), q=PeriodicField(cell, q),
-            eta=PeriodicField(cell, b), lam=0.0)).value
-
-    l1 = lam0(spec.d1, spec.a1, spec.b1)
-    l2 = lam0(spec.d2, spec.a2, spec.b2)
-    l3 = lam0(spec.d1, spec.a1, spec.b1 - spec.a12 * tc.u2_star.values)
+    l1 = _lambda0(cell, spec.d1, spec.a1, spec.b1)
+    l2 = _lambda0(cell, spec.d2, spec.a2, spec.b2)
+    l3 = _lambda0(cell, spec.d1, spec.a1,
+                  spec.b1 - spec.a12 * tc.u2_star.values)
     a1_margin = min(l1, l2, l3)
-    rep.add("A1", "pass" if a1_margin > 0.0 else "fail", a1_margin,
-            None if a1_margin > 0.0 else ("lambda0s", (l1, l2, l3)),
-            "both species viable alone; (0, u2*) invadable")
+    rep.check("A1", a1_margin > 0.0, a1_margin, ("lambda0s", (l1, l2, l3)),
+              "both species viable alone; (0, u2*) invadable")
 
     # A3 pointwise
     m1 = spec.a11 * tc.u1_star.values - spec.a12 * tc.u2_star.values
     m2 = spec.a22 * tc.u2_star.values - spec.a21 * tc.u1_star.values
     margin = min(float(m1.min()), float(m2.min()))
-    rep.add("A3", "pass" if margin > 0.0 else "fail", margin,
-            None if margin > 0.0 else
-            ("node", int(np.argmin(np.minimum(m1, m2)))),
-            "a11 u1* > a12 u2* and a22 u2* > a21 u1*")
+    rep.check("A3", margin > 0.0, margin,
+              ("node", int(np.argmin(np.minimum(m1, m2)))),
+              "a11 u1* > a12 u2* and a22 u2* > a21 u1*")
 
     disp = Dispersion(tc.model)
     try:
         c0, lam_p0 = disp.critical_speed()
         gap = disp.spectral_gap(lam_p0)
-        rep.add("A4", "pass" if gap > 0.0 else "fail", gap,
-                None if gap > 0.0 else ("lam", lam_p0),
-                "kappa gap of the transformed curves at lam_+0")
+        rep.check("A4", gap > 0.0, gap, ("lam", lam_p0),
+                  "kappa gap of the transformed curves at lam_+0")
         # A5 on a small c-grid
         worst, wit = np.inf, None
         for fac in (1.0, 1.25, 1.5, 2.0):
@@ -641,9 +634,8 @@ def check_competition_assumptions(tc: TransformedCompetition,
             if val < worst:
                 worst = val
                 wit = (fac, int(np.argmin(ratio - bound)))
-        rep.add("A5", "pass" if worst >= 0.0 else "fail", worst,
-                None if worst >= 0.0 else wit,
-                "u1* phi1^c / (u2* phi2^c) dominates a12/a11, a22/a21")
+        rep.check("A5", worst >= 0.0, worst, wit,
+                  "u1* phi1^c / (u2* phi2^c) dominates a12/a11, a22/a21")
     except PerifrontError as exc:
         rep.add("A4", "fail", None, ("error", str(exc)))
         rep.add("A5", "not-checkable", note="needs A4")
@@ -651,10 +643,9 @@ def check_competition_assumptions(tc: TransformedCompetition,
     c_minus, c_plus = boundary_speeds_A6(
         cell, spec.d1, tc.model.q[0], tc.a11s,
         spec.d2, tc.model.q[1], tc.a22s)
-    rep.add("A6", "pass" if c_minus + c_plus > 0.0 else "fail",
-            c_minus + c_plus,
-            None if c_minus + c_plus > 0.0 else ("speeds", (c_minus, c_plus)),
-            f"c_nu- + c_nu+ = {c_minus:.6g} + {c_plus:.6g}")
+    rep.check("A6", c_minus + c_plus > 0.0, c_minus + c_plus,
+              ("speeds", (c_minus, c_plus)),
+              f"c_nu- + c_nu+ = {c_minus:.6g} + {c_plus:.6g}")
 
     if run_a2_heuristic:
         dist, ustate = _relax_on_cell(tc.model, u0=0.5, T=80.0)
@@ -673,9 +664,13 @@ def check_competition_assumptions(tc: TransformedCompetition,
 # built-in model library
 
 
-def _const_model_fields(cell, m):
-    n = cell.n
-    return np.ones((m, n)), np.zeros((m, n))
+# The parameters each built-in family reads; make_model rejects any other.
+_MODEL_PARAMS = {
+    "constant2": ("g",),
+    "periodic2": ("amp", "qamp", "g"),
+    "custom2": ("d1", "d2", "q1", "q2", "zeta1", "zeta2", "a21"),
+    "chain-m": ("m", "a"),
+}
 
 
 def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionModel:
@@ -685,14 +680,21 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                    zeta2 = -1, coupling 0.3; passes H1-H8.
     periodic2      same reaction, periodic diffusion/drift shared by both
                    components (so the curve gap stays exactly 2).
+    custom2        two-component KPP family with field-valued coefficients.
     chain-m        m-component chain with nearest-neighbor coupling.
-    competition-const   symmetric weak-competition constants (the closed-form
-                   margin benchmark for A1, A3-A6).
-    competition-strong  asymmetric constants for which exclusion of species 2
-                   (hence H8 for the transformed model) genuinely holds.
 
-    Any other name raises ValueError.
+    Any other name, or a parameter the family does not read, raises
+    ValueError.
     """
+    if name not in _MODEL_PARAMS:
+        raise ValueError(f"unknown model name: {name!r}")
+    known = _MODEL_PARAMS[name]
+    for key in params:
+        if key not in known:
+            where = (" (the cell is set by the top-level config keys L and n)"
+                     if key in ("L", "n") else "")
+            raise ValueError(f"{name} has no parameter {key!r}{where}; "
+                             f"it reads {', '.join(known)}")
     if name in ("constant2", "periodic2"):
         cell = cell or make_cell_grid(1.0, 64)
         n = cell.n
@@ -717,8 +719,7 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                              [h1, h2], name=name)
 
     if name == "custom2":
-        cell = cell or make_cell_grid(params.get("L", 1.0),
-                                      params.get("n", 64))
+        cell = cell or make_cell_grid(1.0, 64)
         n = cell.n
         spec = lambda key, default: PeriodicField.from_spec(
             cell, params.get(key, default)).values
@@ -742,11 +743,11 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                              [PolyH(c=zeta1, b=b1), PolyH(c=zeta2, b=b2)],
                              name="custom2")
 
-    if name in ("chain-m", "chain3"):
+    if name == "chain-m":
         m = int(params.get("m", 3))
         cell = cell or make_cell_grid(1.0, 64)
         n = cell.n
-        d, q = _const_model_fields(cell, m)
+        d, q = np.ones((m, n)), np.zeros((m, n))
         a = params.get("a", 1.2)
         hs = []
         couplings = {}
@@ -761,11 +762,9 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                 couplings[(i, i - 1)] = np.full(n, a)
         return ReactionModel(cell, d, q, couplings, hs, name=name)
 
-    raise ValueError(f"unknown model name: {name!r}")
 
-
-def make_competition_spec(name: str, cell: CellGrid | None = None,
-                          **params) -> CompetitionSpec:
+def make_competition_spec(name: str,
+                          cell: CellGrid | None = None) -> CompetitionSpec:
     cell = cell or make_cell_grid(1.0, 64)
     n = cell.n
     one = np.ones(n)

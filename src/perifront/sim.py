@@ -155,10 +155,6 @@ class WindowGrid:
         return self.x_lo + np.arange(self.npts) * self.h
 
     @property
-    def x_hi(self) -> float:
-        return self.x_lo + self.width_cells * self.cell.L
-
-    @property
     def xidx(self) -> np.ndarray:
         """Cell-node index of every window node."""
         return np.arange(self.npts) % self.cell.n

@@ -320,7 +320,7 @@ class TestSandwich:
         flat = perifront.fronts.FrontProfile(
             c0 if critical else 2.5, model.cell, s,
             np.ones((model.m, model.cell.n, len(s))),
-            np.ones((model.cell.n, len(s))), 0.0, True)
+            np.ones((model.cell.n, len(s))), 0.0)
         pair = principal_eig_coupled(model, at="one")
         tiny = dataclasses.replace(pair, value=-1e-300)
         with pytest.raises(CertificationError, match="no eps"):

@@ -182,6 +182,25 @@ class TestErrors:
         assert key in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("data, words", [
+        ({"window-cells": 30, "n": 32},
+         ["unknown config key 'window-cells'", "'window_cells'"]),
+        ({"model": {"name": "custom2", "zeta_1": {"const": 3.0}}},
+         ["custom2 has no parameter 'zeta_1'", "zeta1, zeta2, a21"]),
+        ({"model": {"name": "custom2", "n": 128}},
+         ["custom2 has no parameter 'n'", "top-level config keys L and n"]),
+    ], ids=["top-level", "model-zeta_1", "model-n"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, data, words):
+        cfgfile = tmp_path / "typo.json"
+        cfgfile.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        rc = main(["dispersion", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert all(w in err[0] for w in words)
+        assert not out.exists()
+
     def test_int_for_float_and_speed_list_are_accepted(self, tmp_path):
         # an int stands for a float, and dispersion takes a list of speeds
         cfgfile = tmp_path / "ok.json"

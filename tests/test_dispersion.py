@@ -63,7 +63,7 @@ class TestCriticalSpeed:
         disp = Dispersion(make_model("periodic2"))
         c0, lam0 = disp.critical_speed()
         assert abs(disp.kappa(0, lam0) - c0 * lam0) <= 1e-8
-        assert abs(disp.kappa1_prime(lam0) - c0) <= 1e-6
+        assert abs(disp.kappa1_prime(lam0, 1e-4 * max(1.0, lam0)) - c0) <= 1e-6
 
     def test_h4_failure(self):
         disp = Dispersion(two_component(make_cell_grid(1.0, 64), zeta1=-0.1))
@@ -126,7 +126,7 @@ class TestCascade:
         assert np.allclose(casc.components[1].values, 0.15, atol=1e-9)
 
     def test_three_chain_positivity_and_residual(self):
-        model = make_model("chain3")
+        model = make_model("chain-m")
         # periodic coupling field, still strictly positive
         model.couplings[(1, 0)] = 1.2 + 0.3 * np.cos(2 * np.pi * model.cell.x)
         model.couplings[(2, 1)] = 1.2 + 0.3 * np.sin(2 * np.pi * model.cell.x)
@@ -176,36 +176,22 @@ class TestDerivative:
 
 
 class TestLinearizedFront:
-    def test_value_at_origin(self):
-        disp = Dispersion(two_component(make_cell_grid(1.0, 64), a21=0.3))
-        w = disp.linearized_front(2.5, k=1.0)
-        val = w(0.0, np.array([0.0]))
-        assert val[0, 0] == pytest.approx(w.phi.components[0].values[0], rel=1e-9)
-        assert val[1, 0] == pytest.approx(0.15 * val[0, 0], rel=1e-6)
-
-    def test_shift_covariance(self):
-        model = make_model("periodic2")
-        disp = Dispersion(model)
-        c = 1.1 * disp.critical_speed()[0]
-        w = disp.linearized_front(c, k=0.7)
-        L = model.cell.L
-        x = np.linspace(0.0, 3.0, 13)
-        a = w(1.0 - L / c, x)
-        b = w(1.0, x + L)
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
-
     def test_discrete_linearized_residual(self):
-        # w solves the discrete linearization up to O(h^2) + O(dt_fd^2)
+        # w = k e^{lam_c (c t - x)} Phi_{lam_c}(x) solves the discrete
+        # linearization up to O(h^2) + O(dt_fd^2)
         model = make_model("periodic2")
         disp = Dispersion(model)
         c = 1.2 * disp.critical_speed()[0]
-        w = disp.linearized_front(c, k=1.0)
+        lam_c = disp.lambda_c(c)
         h = model.cell.h
         x = np.arange(-256, 257) * h
         idx = np.rint(x / h).astype(int) % model.cell.n
+        phi = disp.cascade(lam_c).as_array()[:, idx]
+        k = 1.0
+        w = lambda t: k * np.exp(lam_c * (c * t - x))[None, :] * phi
         dt = 1e-4
-        u = w(1.0, x)
-        dudt = (w(1.0 + dt, x) - w(1.0 - dt, x)) / (2 * dt)
+        u = w(1.0)
+        dudt = (w(1.0 + dt) - w(1.0 - dt)) / (2 * dt)
         lap = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h**2
         grad = (u[:, 2:] - u[:, :-2]) / (2 * h)
         zeta = np.stack([model.zeta(i)[idx[1:-1]] for i in range(model.m)])

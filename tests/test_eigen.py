@@ -115,7 +115,7 @@ class TestCoupled:
         assert pair.value < 0.0
 
     def test_positivity(self):
-        model = make_model("chain3")
+        model = make_model("chain-m")
         pair = principal_eig_coupled(model, at="one")
         for v in pair.vectors:
             assert v.min() > 0.0

@@ -373,7 +373,7 @@ def ref_extract_profile(traj, c, t_window=None, anchor=True, min_count=5.0,
 
     return fronts.FrontProfile(
         c=c, cell=cell, s=s_axis, U=U, occupancy=occ,
-        monotonicity_defect=defect, anchored=anchor,
+        monotonicity_defect=defect,
         s_solid=(float(s_axis[solid_rng[0]]), float(s_axis[solid_rng[1]])))
 
 
@@ -806,7 +806,7 @@ def test_shift_distance_matches_reference(profiles, kind, bracket,
 def test_shift_distance_rejects_other_lattice(profiles):
     U = profiles["raw_a"]
     V = fronts.FrontProfile(U.c, U.cell, U.s * 1.01, U.U, U.occupancy,
-                            0.0, False)
+                            0.0)
     with pytest.raises(fronts.FrontError, match="spacings"):
         shift_distance(U, V)
 
@@ -830,7 +830,7 @@ def test_convergence_metric_clamps_at_both_ends():
     s = np.arange(-4.0, 4.0, CELL.h)
     U = front_values(s[None, :], CELL.x[:, None]).astype(float)
     prof = fronts.FrontProfile(C, CELL, s, U, np.ones((CELL.n, len(s))),
-                               0.0, True)
+                               0.0)
     for start in (0.0, 0.3 * math.pi):
         traj = synthetic_traj(8.0, cells=30, t_end=2.0, dt=0.4)
         traj.times = [t + start for t in traj.times]
@@ -874,7 +874,6 @@ def assert_same_profile(got, want):
     assert np.array_equal(got.occupancy, want.occupancy)
     assert got.s_solid == want.s_solid
     assert got.monotonicity_defect == want.monotonicity_defect
-    assert got.anchored == want.anchored
 
 
 @pytest.mark.parametrize("t_window", [None, (4.0, 7.0)])
@@ -899,7 +898,7 @@ def test_convergence_metric_is_bitwise_equal(cauchy_run):
     for cut in (slice(half - 48, half), slice(half, half + 48)):
         cases.append((fronts.FrontProfile(
             prof.c, prof.cell, prof.s[cut], prof.U[:, :, cut].copy(),
-            prof.occupancy[:, cut], 0.0, True), 12.0))
+            prof.occupancy[:, cut], 0.0), 12.0))
     for p, bracket in cases:
         got = convergence_metric(sparse, p, shift_bracket=bracket)
         want = ref_table_convergence_metric(sparse, p, shift_bracket=bracket)
@@ -1511,7 +1510,7 @@ def zero_profile(model, c):
     s = np.arange(-40, 41) * model.cell.h
     return fronts.FrontProfile(c, model.cell, s,
                                np.zeros((model.m, model.cell.n, len(s))),
-                               np.ones((model.cell.n, len(s))), 0.0, True)
+                               np.ones((model.cell.n, len(s))), 0.0)
 
 
 # competition-const's upper state is not linearly stable: no sandwich
@@ -1537,9 +1536,9 @@ def ref_h7_hypotheses(model, disp):
     m, n = model.m, model.cell.n
     xidx = np.arange(n)
     c0, lam0 = disp.critical_speed()
-    front = disp.linearized_front(c0, k=1.0)
-    phi = front.phi.as_array()
-    s_hi = -np.log(front.phi.norm_p()) / lam0
+    cascade = disp.cascade(lam0)
+    phi = cascade.as_array()
+    s_hi = -np.log(cascade.norm_p()) / lam0
     worst, wit = np.inf, None
     for s in np.linspace(s_hi - 20.0, s_hi, 120):
         w = np.exp(lam0 * s) * phi
@@ -2123,7 +2122,7 @@ def synthetic_profile(model, c):
     arg = (s[None, None, :] + 6.0 + phase[None, :, None]
            + 0.5 * np.arange(model.m)[:, None, None])
     return fronts.FrontProfile(c, cell, s, 1.0 / (1.0 + np.exp(-arg)),
-                               np.ones((cell.n, len(s))), 0.0, True,
+                               np.ones((cell.n, len(s))), 0.0,
                                (-20.0, 20.0))
 
 

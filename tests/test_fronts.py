@@ -23,7 +23,7 @@ def synthetic_profile(f1, f2=None, s_lo=-30.0, s_hi=10.0, c=2.5):
     U = np.stack(rows)
     occ = np.full((CELL.n, len(s)), 10.0)
     return FrontProfile(c=c, cell=CELL, s=s, U=U, occupancy=occ,
-                        monotonicity_defect=0.0, anchored=False)
+                        monotonicity_defect=0.0)
 
 
 class TestFrontPosition:
@@ -185,16 +185,14 @@ class TestLogDerivative:
     def test_pure_exponential(self):
         prof = synthetic_profile(lambda s: np.exp(0.5 * s),
                                  lambda s: 0.5 * np.exp(0.5 * s))
-        out = log_derivative_diagnostics(prof, level=1e-2)
+        out = log_derivative_diagnostics(prof)
         for lo, hi in out:
             assert lo == pytest.approx(0.5, abs=1e-3)
             assert hi == pytest.approx(0.5, abs=1e-3)
 
     def test_critical_shape_brackets_one(self):
         prof = synthetic_profile(lambda s: np.abs(s) * np.exp(s), s_lo=-40.0)
-        (lo, hi), = log_derivative_diagnostics(
-            synthetic_profile(lambda s: np.abs(s) * np.exp(s), s_lo=-40.0),
-            level=1e-2) [0:1]
+        (lo, hi), = log_derivative_diagnostics(prof)[0:1]
         # log-derivative of |s| e^s is 1 + 1/s < 1 for s < 0
         assert lo < 1.0 <= hi + 0.05
         assert lo > 0.8
@@ -205,14 +203,14 @@ class TestLogDerivative:
         assert (prof.U[0] == 0.0).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (lo, hi), = log_derivative_diagnostics(prof, level=1e-2)
+            (lo, hi), = log_derivative_diagnostics(prof)
         assert np.isfinite(lo) and np.isfinite(hi)
         assert hi < 1.0
 
     def test_too_few_positive_columns_raise(self):
         prof = synthetic_profile(lambda s: np.where(s < 0.0, 0.0, 1.0))
         with pytest.raises(FrontError, match="left tail"):
-            log_derivative_diagnostics(prof, level=1e-2)
+            log_derivative_diagnostics(prof)
 
 
 class TestComponentRatio:

@@ -8,7 +8,8 @@ from perifront import (check_competition_assumptions, check_hypotheses,
                        inverse_transform, make_cell_grid,
                        make_competition_spec, make_model,
                        principal_eig_coupled)
-from perifront.models import PolyH, ReactionModel
+from perifront.errors import PerifrontError
+from perifront.models import HypothesisReport, PolyH, ReactionModel
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,17 @@ class TestHypotheses:
         assert rep["H4"].verdict == "fail"
         assert rep["H4"].margin == pytest.approx(-0.1, abs=1e-8)
 
+    def test_check_drops_a_passing_witness_and_needs_a_failing_one(self):
+        rep = HypothesisReport()
+        rep.check("H2", True, 0.0, ("node", 3), "F(x, 1) = 0")
+        assert (rep["H2"].verdict, rep["H2"].witness) == ("pass", None)
+        rep.check("H3", False, -0.5, ("node", 3), "cooperativity")
+        assert (rep["H3"].verdict, rep["H3"].witness) == ("fail", ("node", 3))
+        assert rep["H3"].margin == -0.5 and rep["H3"].note == "cooperativity"
+        with pytest.raises(PerifrontError, match="H4 requires a witness"):
+            rep.check("H4", False, -1.0, None, "kappa_1(0) > 0")
+        assert "H4" not in rep.entries
+
 
 class TestSteadyStates:
     def test_logistic_fixed_point(self):
@@ -115,7 +127,7 @@ class TestSteadyStates:
         from perifront import (OperatorSpec, PeriodicField,
                                assemble_tilted_operator)
         spec = make_competition_spec("competition-periodic")
-        u1, _ = competition_steady_states(spec, tol=1e-11)
+        u1, _ = competition_steady_states(spec)
         cell = spec.cell
         A = assemble_tilted_operator(OperatorSpec(
             PeriodicField(cell, spec.d1), PeriodicField(cell, spec.a1),
@@ -129,7 +141,7 @@ class TestTransformation:
         tc = competition_to_cooperative(make_competition_spec("competition-const"))
         assert np.allclose(tc.model.q, 0.0, atol=1e-7)
         assert np.allclose(tc.a11s, 1.0, atol=1e-8)
-        assert np.allclose(tc.a12s, 0.3, atol=1e-8)
+        assert np.allclose(tc.model.h[0].b[1], 0.3, atol=1e-8)
         assert np.allclose(tc.model.zeta(0), 0.7, atol=1e-8)
         assert np.allclose(tc.model.zeta(1), -1.0, atol=1e-8)
 
