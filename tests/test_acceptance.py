@@ -2,12 +2,15 @@
 stated tolerance and prints one pass/fail line.
 
 Heavy Cauchy runs are shared through module-scoped fixtures; every
-tolerance below is pinned, nothing is calibrated at run time.
+tolerance below is pinned, nothing is calibrated at run time.  Each
+criterion's detail string is also checked against the one recorded in
+tests/golden.json, so the printed digits cannot move unnoticed.
 """
 
 import numpy as np
 import pytest
 
+import golden
 import perifront as pf
 from perifront import (Dispersion, OperatorSpec, PeriodicField, SimState,
                        StepperConfig, WindowGrid, build_initial_front_like,
@@ -19,6 +22,7 @@ from perifront.models import PolyH, ReactionModel
 def report(criterion, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+    golden.assert_recorded("acceptance", str(criterion), detail)
 
 
 # ---------------------------------------------------------------------------

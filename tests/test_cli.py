@@ -319,8 +319,4 @@ class TestDefaults:
         assert cfg["model"] == ("competition-strong"
                                 if command == "competition" else "constant2")
         # the same numbers: every file byte for byte as recorded
-        want = json.loads(golden.MANIFEST.read_text())
-        assert want["versions"] == golden.versions(), (
-            f"tests/golden.json was recorded with {want['versions']}, this "
-            f"run has {golden.versions()}: rerun tests/golden.py")
-        assert golden.digests(out) == want["files"][command]
+        golden.assert_recorded("files", command, golden.digests(out))
