@@ -40,7 +40,6 @@ TOLERANCES = {
     "speed_rel": 0.02,
     "decay_rel_supercritical": 0.05,
     "decay_rel_critical": 0.10,
-    "convergence_sup": 0.02,
     "cert_allowance_factor": C_ALLOW,
 }
 

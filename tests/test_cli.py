@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,8 +93,9 @@ class TestCertifyCommand:
 
     def test_reported_tolerances_are_enforced(self, tmp_path):
         # results.json reports the constants that the solvers and the
-        # certificate check enforce, at their established values
-        from perifront import certify, dispersion, eigen
+        # certificate check enforce, at their established values, and
+        # the ones a subcommand reads from TOLERANCES: those and no other
+        from perifront import certify, cli, dispersion, eigen
         out = tmp_path / "cert"
         main(["certify", "--out", str(out)])
         tol = read_json(out / "results.json")["tolerances"]
@@ -102,6 +105,8 @@ class TestCertifyCommand:
                     "cert_allowance_factor": (certify.C_ALLOW, 10.0)}
         for key, (constant, value) in enforced.items():
             assert tol[key] == constant == value, key
+        read = re.findall(r'TOLERANCES\["(\w+)"\]', inspect.getsource(cli))
+        assert sorted(tol) == sorted(set(enforced) | set(read))
 
 
 class TestCompetitionCommand:
