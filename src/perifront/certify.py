@@ -79,9 +79,6 @@ class CandidateSolution:
     # this candidate's sense and scale: its residual is the profile defect
     bare: CandidateSolution | None = None
 
-    def __call__(self, t, x):
-        return self.evaluator(t, x)
-
 
 @dataclass
 class CertReport:

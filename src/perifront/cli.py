@@ -345,7 +345,7 @@ def main(argv=None) -> int:
                     (outdir / name).unlink()
             raise
         return 0 if ok else 1
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PerifrontError as exc:

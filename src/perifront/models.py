@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -664,13 +665,50 @@ def check_competition_assumptions(tc: TransformedCompetition,
 # built-in model library
 
 
-# The parameters each built-in family reads; make_model rejects any other.
+# The parameters each built-in family reads, with the kind of value each
+# takes; make_model rejects any other parameter, and any other value.
 _MODEL_PARAMS = {
-    "constant2": ("g",),
-    "periodic2": ("amp", "qamp", "g"),
-    "custom2": ("d1", "d2", "q1", "q2", "zeta1", "zeta2", "a21"),
-    "chain-m": ("m", "a"),
+    "constant2": {"g": "number"},
+    "periodic2": {"amp": "number", "qamp": "number", "g": "number"},
+    "custom2": dict.fromkeys(("d1", "d2", "q1", "q2", "zeta1", "zeta2",
+                              "a21"), "field"),
+    "chain-m": {"m": "components", "a": "number"},
 }
+_KIND_WANTED = {"number": "a finite number",
+                "components": "an integer >= 2",
+                "field": "a number or a const, cosine or csv field spec"}
+
+
+def _is_number(val) -> bool:
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+def _is_integer(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_kind(kind: str, val) -> bool:
+    """Whether val is a value of the parameter kind (see _MODEL_PARAMS);
+    a field spec is what PeriodicField.from_spec reads."""
+    if kind == "number":
+        return _is_number(val)
+    if kind == "components":
+        return _is_integer(val) and val >= 2
+    if _is_number(val):
+        return True
+    if not (isinstance(val, dict) and len(val) == 1):
+        return False
+    (form, arg), = val.items()
+    if form == "const":
+        return _is_number(arg)
+    if form == "csv":
+        return isinstance(arg, str)
+    return (form == "cosine" and isinstance(arg, dict)
+            and {"mean", "amp"} <= arg.keys()
+            <= {"mean", "amp", "harmonics", "phase"}
+            and all(map(_is_number, arg.values()))
+            and _is_integer(arg.get("harmonics", 1)))
 
 
 def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionModel:
@@ -683,18 +721,23 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
     custom2        two-component KPP family with field-valued coefficients.
     chain-m        m-component chain with nearest-neighbor coupling.
 
-    Any other name, or a parameter the family does not read, raises
-    ValueError.
+    Any other name, a parameter the family does not read, or a value of
+    the wrong type or range (chain-m's m is an integer >= 2, custom2's
+    coefficients are numbers or field specs, every other parameter is a
+    number) raises ValueError naming it.
     """
     if name not in _MODEL_PARAMS:
         raise ValueError(f"unknown model name: {name!r}")
     known = _MODEL_PARAMS[name]
-    for key in params:
+    for key, val in params.items():
         if key not in known:
             where = (" (the cell is set by the top-level config keys L and n)"
                      if key in ("L", "n") else "")
             raise ValueError(f"{name} has no parameter {key!r}{where}; "
                              f"it reads {', '.join(known)}")
+        if not _is_kind(known[key], val):
+            raise ValueError(f"{name} parameter {key!r} must be "
+                             f"{_KIND_WANTED[known[key]]}, got {val!r}")
     if name in ("constant2", "periodic2"):
         cell = cell or make_cell_grid(1.0, 64)
         n = cell.n
@@ -744,7 +787,7 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                              name="custom2")
 
     if name == "chain-m":
-        m = int(params.get("m", 3))
+        m = params.get("m", 3)
         cell = cell or make_cell_grid(1.0, 64)
         n = cell.n
         d, q = np.ones((m, n)), np.zeros((m, n))

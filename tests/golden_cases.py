@@ -2,9 +2,9 @@
 
 CASES maps a case id to a function of no arguments that returns what the
 case computes: arrays, bytes, or JSON-native values, alone or in lists
-(golden.digest hashes them).  A case id is the pytest id of the test that
-checks it, "test_name[param]", so test_fast_paths.py checks each case
-under the id that its parent-code comparison had.  Every input is a
+(golden.digest hashes them).  A case id is the id of the test in
+tests/test_fast_paths.py that checks it, "test_name[param]", or the bare
+name of a test that checks its own computed value.  Every input is a
 literal or seeded; runs and profiles shared by several cases are built
 once per process.
 """

@@ -206,6 +206,26 @@ class TestErrors:
         assert all(w in err[0] for w in words)
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, words", [
+        ({"name": "chain-m", "a": "x"},
+         ["chain-m parameter 'a' must be a finite number", "'x'"]),
+        ({"name": "chain-m", "m": 1},
+         ["chain-m parameter 'm' must be an integer >= 2", "got 1"]),
+        ({"name": "custom2", "d1": {"foo": 1}},
+         ["custom2 parameter 'd1' must be a number or a const, cosine or "
+          "csv field spec", "{'foo': 1}"]),
+    ], ids=["chain-m-a", "chain-m-m", "custom2-d1"])
+    def test_bad_model_value_exit_2(self, tmp_path, capsys, model, words):
+        cfgfile = tmp_path / "model.json"
+        cfgfile.write_text(json.dumps({"model": model}))
+        out = tmp_path / "o"
+        rc = main(["hypotheses", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert all(w in err[0] for w in words)
+        assert not out.exists()
+
     def test_int_for_float_and_speed_list_are_accepted(self, tmp_path):
         # an int stands for a float, and dispersion takes a list of speeds
         cfgfile = tmp_path / "ok.json"

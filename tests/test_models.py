@@ -56,6 +56,26 @@ class TestEvaluate:
                 assert np.max(np.abs(J[:, k] - fd)) <= 1e-6
 
 
+class TestMakeModel:
+    def test_every_value_kind_is_accepted(self, tmp_path):
+        # the forms the benchmark's seeded media and the CLI configs use:
+        # chain-m at m = 4 and 5 (a numpy integer too), custom2 fields as
+        # numbers and as const, cosine (with harmonics and phase) and csv
+        # specs
+        for m in (4, 5, np.int64(5)):
+            assert make_model("chain-m", m=m, a=1.2).m == m
+        csv = tmp_path / "d1.csv"
+        csv.write_text("0.0, 1.0\n0.5, 1.2\n")
+        model = make_model(
+            "custom2", d1={"csv": str(csv)}, d2={"const": 1.1}, q1=0,
+            q2=-0.05,
+            zeta1={"cosine": {"mean": 0.8, "amp": 0.1, "harmonics": 2,
+                              "phase": 1.3}},
+            zeta2={"cosine": {"mean": -0.9, "amp": 0.05}}, a21=1.4)
+        assert model.d[1].tolist() == [1.1] * model.cell.n
+        assert make_model("periodic2", amp=0.1, qamp=0, g=0.3).m == 2
+
+
 class TestHypotheses:
     def test_constant2_all_pass(self, constant2):
         rep = check_hypotheses(constant2, run_h5_heuristic=False)
