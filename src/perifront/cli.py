@@ -5,8 +5,11 @@ Every run writes resolved-config.json (all defaults made explicit),
 results.json (machine-readable outcomes, including the tolerance set in
 force) and per-experiment CSV bundles with '#'-prefixed header lines and
 17-significant-digit numerics; a failed run leaves none of these behind.
-Exit codes: 0 all requested checks passed, 1 a check failed,
-2 configuration error, 3 numerical failure.
+Exit codes: 0 all requested checks passed, 1 a check failed, 2 a
+configuration error (a ConfigError from a config file, flag or model-dict
+value, or an output file that cannot be written), 3 a numerical failure
+(any other PerifrontError, the library's own argument checks such as
+n < 16 included), 4 any other exception, named in one stderr line.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PerifrontError
+from .errors import ConfigError, PerifrontError
 from .grid import make_cell_grid
 from .eigen import COUPLED_TOL, SCALAR_TOL
 from .dispersion import CASCADE_RESID_TOL, Dispersion
-from .models import (check_competition_assumptions, check_hypotheses,
-                     competition_to_cooperative, make_competition_spec,
-                     make_model)
+from .models import (COMPETITION_NAMES, _is_number, check_hypotheses,
+                     check_competition_assumptions, competition_to_cooperative,
+                     make_competition_spec, make_model)
 from .sim import (StepperConfig, WindowGrid, _write_rows,
                   build_initial_front_like, run)
 from .fronts import (extract_profile, fit_decay, front_position,
@@ -58,9 +61,6 @@ DEFAULTS = {
     "level": 0.5,
     "out": "perifront-out",
 }
-
-COMPETITION_NAMES = ("competition-const", "competition-strong",
-                     "competition-periodic")
 
 # Each subcommand's defaults over DEFAULTS.
 COMMAND_DEFAULTS = {
@@ -96,14 +96,10 @@ def _write_csv(path: Path, header: str, rows) -> None:
             _write_rows(fh, rows)
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 def _check_types(cfg: dict, command: str) -> None:
     """Every DEFAULTS key holds its default's type; an int stands for a
-    float, model is a name or a dict, and dispersion takes a list of
-    speeds as c."""
+    float, a float is finite, model is a name or a dict, and dispersion
+    takes a list of speeds as c."""
     for key, default in DEFAULTS.items():
         val = cfg[key]
         if key == "model":
@@ -118,7 +114,7 @@ def _check_types(cfg: dict, command: str) -> None:
         else:
             ok, want = _is_number(val), "a number"
         if not ok:
-            raise ValueError(f"{key} must be {want}, got {val!r}")
+            raise ConfigError(f"{key} must be {want}, got {val!r}")
 
 
 def _resolve_config(args) -> dict:
@@ -126,15 +122,18 @@ def _resolve_config(args) -> dict:
     (whose keys must all be DEFAULTS keys), then the flags."""
     cfg = {**DEFAULTS, **COMMAND_DEFAULTS[args.command]}
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValueError(f"{args.config} must hold a JSON object, got "
-                             f"{type(data).__name__}")
+            raise ConfigError(f"{args.config} must hold a JSON object, got "
+                              f"{type(data).__name__}")
         for key in data:
             if key not in DEFAULTS:
                 near = difflib.get_close_matches(key, DEFAULTS, n=1)
-                raise ValueError(f"unknown config key {key!r}" + (
+                raise ConfigError(f"unknown config key {key!r}" + (
                     f"; did you mean {near[0]!r}?" if near else ""))
         cfg.update(data)
     for key in DEFAULTS:
@@ -288,8 +287,8 @@ def cmd_hypotheses(cfg, outdir, model, tc):
 
 def cmd_competition(cfg, outdir, model, tc):
     if tc is None:
-        raise ValueError(f"model {cfg['model']!r} is not a competition "
-                         f"model: use one of {', '.join(COMPETITION_NAMES)}")
+        raise ConfigError(f"model {cfg['model']!r} is not a competition "
+                          f"model: use one of {', '.join(COMPETITION_NAMES)}")
     arep = check_competition_assumptions(tc)
     disp = Dispersion(model)
     c0, lam0 = disp.critical_speed()
@@ -345,12 +344,15 @@ def main(argv=None) -> int:
                     (outdir / name).unlink()
             raise
         return 0 if ok else 1
-    except (OSError, KeyError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:      # OSError: the output path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PerifrontError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

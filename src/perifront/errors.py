@@ -5,6 +5,10 @@ class PerifrontError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(PerifrontError):
+    """A user-set value (config file, flag or model dict) is unusable."""
+
+
 class GridError(PerifrontError):
     """Invalid grid construction (non-positive length, too few points)."""
 

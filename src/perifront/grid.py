@@ -98,8 +98,10 @@ class PeriodicField:
 
         Sample abscissae are reduced mod L; the interpolation wraps around.
         """
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        data = np.atleast_2d(data)
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        if data.shape[1] != 2:
+            raise GridError(f"{path} must hold two columns x, value; "
+                            f"it holds {data.shape[1]}")
         xs = np.mod(data[:, 0], grid.L)
         order = np.argsort(xs)
         xs, vs = xs[order], data[order, 1]

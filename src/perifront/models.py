@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PerifrontError
+from .errors import ConfigError, GridError, PerifrontError
 from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
                    assemble_tilted_operator, first_derivative, make_cell_grid)
 from .eigen import principal_eig_scalar, principal_eig_coupled
@@ -724,23 +724,24 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
     Any other name, a parameter the family does not read, or a value of
     the wrong type or range (chain-m's m is an integer >= 2, custom2's
     coefficients are numbers or field specs, every other parameter is a
-    number) raises ValueError naming it.
+    number) raises ConfigError naming it; so do values that give no valid
+    model, such as a nonpositive diffusion or a negative coupling.
     """
     if name not in _MODEL_PARAMS:
-        raise ValueError(f"unknown model name: {name!r}")
+        raise ConfigError(f"unknown model name: {name!r}")
     known = _MODEL_PARAMS[name]
     for key, val in params.items():
         if key not in known:
             where = (" (the cell is set by the top-level config keys L and n)"
                      if key in ("L", "n") else "")
-            raise ValueError(f"{name} has no parameter {key!r}{where}; "
-                             f"it reads {', '.join(known)}")
+            raise ConfigError(f"{name} has no parameter {key!r}{where}; "
+                              f"it reads {', '.join(known)}")
         if not _is_kind(known[key], val):
-            raise ValueError(f"{name} parameter {key!r} must be "
-                             f"{_KIND_WANTED[known[key]]}, got {val!r}")
+            raise ConfigError(f"{name} parameter {key!r} must be "
+                              f"{_KIND_WANTED[known[key]]}, got {val!r}")
+    cell = cell or make_cell_grid(1.0, 64)
+    n = cell.n
     if name in ("constant2", "periodic2"):
-        cell = cell or make_cell_grid(1.0, 64)
-        n = cell.n
         if name == "constant2":
             d = np.ones((2, n)); q = np.zeros((2, n))
         else:
@@ -754,18 +755,17 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
         # linearly stable and no interior equilibrium appears
         g = params.get("g", 0.3)
         b1 = np.zeros((2, n)); b1[0] = -(1.0 + g); b1[1] = g
-        h1 = PolyH(c=np.ones(n), b=b1)
         b2 = np.zeros((2, n)); b2[0] = -0.31; b2[1] = 2.0
         Q2 = np.zeros((2, 2, n)); Q2[0, 1] = 0.17; Q2[1, 1] = -1.16
-        h2 = PolyH(c=-np.ones(n), b=b2, Q=Q2)
-        return ReactionModel(cell, d, q, {(1, 0): np.full(n, 0.3)},
-                             [h1, h2], name=name)
-
-    if name == "custom2":
-        cell = cell or make_cell_grid(1.0, 64)
-        n = cell.n
-        spec = lambda key, default: PeriodicField.from_spec(
-            cell, params.get(key, default)).values
+        couplings = {(1, 0): np.full(n, 0.3)}
+        hs = [PolyH(c=np.ones(n), b=b1), PolyH(c=-np.ones(n), b=b2, Q=Q2)]
+    elif name == "custom2":
+        def spec(key, default):
+            try:
+                return PeriodicField.from_spec(
+                    cell, params.get(key, default)).values
+            except (OSError, ValueError, GridError) as exc:  # a csv file
+                raise ConfigError(f"custom2 parameter {key!r}: {exc}") from exc
         d = np.stack([spec("d1", 1.0), spec("d2", 1.0)])
         q = np.stack([spec("q1", 0.0), spec("q2", 0.0)])
         zeta1 = spec("zeta1", 1.0)
@@ -776,20 +776,16 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
         # hypothesis report will say what breaks
         a21 = spec("a21", 1.2)
         if zeta1.min() <= 0 or zeta2.max() >= 0 or a21.min() <= 0:
-            raise PerifrontError(
+            raise ConfigError(
                 "custom2 needs zeta1 > 0, zeta2 < 0 and a21 > 0")
         # KPP family with F(x, 1) = 0 pointwise for arbitrary fields:
         # h1 = zeta1 (1 - u1), h2 = zeta2 + (-zeta2 - a21) u2
         b1 = np.zeros((2, n)); b1[0] = -zeta1
         b2 = np.zeros((2, n)); b2[1] = -zeta2 - a21
-        return ReactionModel(cell, d, q, {(1, 0): a21},
-                             [PolyH(c=zeta1, b=b1), PolyH(c=zeta2, b=b2)],
-                             name="custom2")
-
-    if name == "chain-m":
+        couplings = {(1, 0): a21}
+        hs = [PolyH(c=zeta1, b=b1), PolyH(c=zeta2, b=b2)]
+    else:                                            # chain-m
         m = params.get("m", 3)
-        cell = cell or make_cell_grid(1.0, 64)
-        n = cell.n
         d, q = np.ones((m, n)), np.zeros((m, n))
         a = params.get("a", 1.2)
         hs = []
@@ -803,23 +799,28 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                 b[i] = 1.0 - a        # h_i = -(1 - u_i) - a u_i
                 hs.append(PolyH(c=-np.ones(n), b=b))
                 couplings[(i, i - 1)] = np.full(n, a)
+    try:
         return ReactionModel(cell, d, q, couplings, hs, name=name)
+    except PerifrontError as exc:
+        raise ConfigError(f"invalid {name} parameters: {exc}") from exc
+
+
+# The competition specs make_competition_spec builds: name -> (amplitude
+# of b1's cosine, a21).
+_COMPETITION_SPECS = {"competition-const": (0.0, 0.3),
+                      "competition-strong": (0.0, 1.5),
+                      "competition-periodic": (0.3, 1.5)}
+COMPETITION_NAMES = tuple(_COMPETITION_SPECS)
 
 
 def make_competition_spec(name: str,
                           cell: CellGrid | None = None) -> CompetitionSpec:
+    if name not in _COMPETITION_SPECS:
+        raise ConfigError(f"unknown competition spec: {name!r}")
+    b1_amp, a21 = _COMPETITION_SPECS[name]
     cell = cell or make_cell_grid(1.0, 64)
-    n = cell.n
-    one = np.ones(n)
-    zero = np.zeros(n)
-    if name == "competition-const":
-        return CompetitionSpec(cell, one, one, zero, zero, one, one,
-                               one, 0.3 * one, 0.3 * one, one)
-    if name == "competition-strong":
-        return CompetitionSpec(cell, one, one, zero, zero, one, one,
-                               one, 0.3 * one, 1.5 * one, one)
-    if name == "competition-periodic":
-        b1 = 1.0 + 0.3 * np.cos(2 * np.pi * cell.x / cell.L)
-        return CompetitionSpec(cell, one, one, zero, zero, b1, one,
-                               one, 0.3 * one, 1.5 * one, one)
-    raise ValueError(f"unknown competition spec: {name!r}")
+    one = np.ones(cell.n)
+    zero = np.zeros(cell.n)
+    b1 = 1.0 + b1_amp * np.cos(2 * np.pi * cell.x / cell.L)
+    return CompetitionSpec(cell, one, one, zero, zero, b1, one,
+                           one, 0.3 * one, a21 * one, one)

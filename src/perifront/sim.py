@@ -186,10 +186,10 @@ class StepperConfig:
     def validate_against(self, model) -> None:
         lip = model.reaction_lipschitz()
         dt_max = 0.5 / max(lip, 1e-300)
-        if self.dt > dt_max:
+        if not 0.0 < self.dt <= dt_max:
             raise PerifrontError(
-                f"dt = {self.dt:.4g} above the explicit-reaction bound "
-                f"0.5/max|dF_i/du_i| = {dt_max:.4g}")
+                f"dt = {self.dt:.4g} must be positive and at most the "
+                f"explicit-reaction bound 0.5/max|dF_i/du_i| = {dt_max:.4g}")
 
 
 @dataclass

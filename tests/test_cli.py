@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import golden
-from perifront import WindowGrid, make_cell_grid
-from perifront.cli import main
+from perifront import WindowGrid, cli, make_cell_grid
+from perifront.cli import DEFAULTS, main
+
+FLOAT_KEYS = [key for key, val in DEFAULTS.items() if isinstance(val, float)]
 
 
 def read_json(path):
@@ -214,7 +216,14 @@ class TestErrors:
         ({"name": "custom2", "d1": {"foo": 1}},
          ["custom2 parameter 'd1' must be a number or a const, cosine or "
           "csv field spec", "{'foo': 1}"]),
-    ], ids=["chain-m-a", "chain-m-m", "custom2-d1"])
+        # well-typed values that give no valid model
+        ({"name": "custom2", "zeta1": -1}, ["custom2 needs zeta1 > 0"]),
+        ({"name": "periodic2", "amp": 1.5},
+         ["invalid periodic2 parameters", "diffusion"]),
+        ({"name": "chain-m", "a": -1},
+         ["invalid chain-m parameters", "coupling"]),
+    ], ids=["chain-m-a", "chain-m-m", "custom2-d1", "custom2-zeta1-range",
+            "periodic2-amp-range", "chain-m-a-range"])
     def test_bad_model_value_exit_2(self, tmp_path, capsys, model, words):
         cfgfile = tmp_path / "model.json"
         cfgfile.write_text(json.dumps({"model": model}))
@@ -225,6 +234,62 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert all(w in err[0] for w in words)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["1\n2\n3\n", "0.5\n"])
+    def test_one_column_csv_field_exit_2(self, tmp_path, capsys, text):
+        csv = tmp_path / "d1.csv"
+        csv.write_text(text)
+        cfgfile = tmp_path / "model.json"
+        cfgfile.write_text(json.dumps(
+            {"model": {"name": "custom2", "d1": {"csv": str(csv)}}}))
+        out = tmp_path / "o"
+        rc = main(["hypotheses", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: custom2 parameter 'd1': {csv} "
+                       "must hold two columns x, value; it holds 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, key, value):
+        # from the config and from the flag; Python's json reads all three
+        cfgfile = tmp_path / "nonfinite.json"
+        cfgfile.write_text(f'{{"{key}": {value}}}')
+        out = tmp_path / "o"
+        flag = f"--{key.replace('_', '-')}={value}"
+        for args in (["--config", str(cfgfile)], [flag]):
+            rc = main(["simulate", *args, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"configuration error: {key} must be a "
+                                     "number")
+            assert not out.exists()
+
+    def test_zero_dt_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--dt", "0", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: dt = 0 must be positive and at "
+                       "most the explicit-reaction bound 0.5/max|dF_i/du_i| "
+                       "= 0.3125"]
+        assert list(out.iterdir()) == []
+
+    def test_unexpected_exception_exit_4(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a bug, not a bad input: neither exit 1 (a failed check) nor 2
+        def broken(cfg, outdir, model, tc):
+            raise KeyError("H9")
+        monkeypatch.setattr(cli, "cmd_hypotheses", broken)
+        out = tmp_path / "hyp"
+        out.mkdir()
+        (out / "results.json").write_text("{}")      # an earlier run's
+        assert main(["hypotheses", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["internal error: KeyError: 'H9'"]
+        assert list(out.iterdir()) == []
 
     def test_int_for_float_and_speed_list_are_accepted(self, tmp_path):
         # an int stands for a float, and dispersion takes a list of speeds

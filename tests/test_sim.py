@@ -83,6 +83,13 @@ class TestStep:
         with pytest.raises(PerifrontError, match="explicit-reaction bound"):
             run(constant2, st, win, cfg, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_nonpositive_dt_rejected(self, constant2, dt):
+        win = WindowGrid(constant2.cell, 20)
+        st = SimState(0.0, np.zeros((2, win.npts)))
+        with pytest.raises(PerifrontError, match="must be positive"):
+            run(constant2, st, win, StepperConfig(dt=dt), 1.0)
+
 
 class TestRun:
     def test_T_zero(self, constant2):
