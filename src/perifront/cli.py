@@ -7,9 +7,10 @@ force) and per-experiment CSV bundles with '#'-prefixed header lines and
 17-significant-digit numerics; a failed run leaves none of these behind.
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 a
 configuration error (a ConfigError from a config file, flag or model-dict
-value, or an output file that cannot be written), 3 a numerical failure
-(any other PerifrontError, the library's own argument checks such as
-n < 16 included), 4 any other exception, named in one stderr line.
+value, a value outside RANGES such as n < 16 or snapshot_dt <= 0 included,
+or an output file that cannot be written), 3 a numerical failure (any
+other PerifrontError, such as a dt above the model's explicit-reaction
+bound), 4 any other exception, named in one stderr line.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, PerifrontError
-from .grid import make_cell_grid
+from .grid import MIN_CELL_NODES, make_cell_grid
 from .eigen import COUPLED_TOL, SCALAR_TOL
 from .dispersion import CASCADE_RESID_TOL, Dispersion
 from .models import (COMPETITION_NAMES, _is_number, check_hypotheses,
                      check_competition_assumptions, competition_to_cooperative,
                      make_competition_spec, make_model)
-from .sim import (StepperConfig, WindowGrid, _write_rows,
-                  build_initial_front_like, run)
+from .sim import (EPS0_MAX, MIN_WINDOW_CELLS, StepperConfig, WindowGrid,
+                  _write_rows, build_initial_front_like, run)
 from .fronts import (extract_profile, fit_decay, front_position,
                      measure_speed)
 from .certify import (C_ALLOW, build_sub_supercritical,
@@ -60,6 +61,23 @@ DEFAULTS = {
     "delta": 0.1,
     "level": 0.5,
     "out": "perifront-out",
+}
+
+# The ranges of the library's own argument checks, on the bounds those
+# checks read: key -> (test, what the key takes).  _check_types applies
+# them, so a value out of range exits 2 before any work.  A dt above the
+# explicit-reaction bound depends on the model: StepperConfig alone
+# rejects it, with exit 3.
+RANGES = {
+    "L": (lambda v: v > 0.0, "positive"),
+    "n": (lambda v: v >= MIN_CELL_NODES, f"at least {MIN_CELL_NODES}"),
+    "window_cells": (lambda v: v >= MIN_WINDOW_CELLS,
+                     f"at least {MIN_WINDOW_CELLS}"),
+    "dt": (lambda v: v > 0.0, "positive"),
+    "snapshot_dt": (lambda v: v > 0.0, "positive"),
+    "T": (lambda v: v >= 0.0, "nonnegative"),
+    "k": (lambda v: v > 0.0, "positive"),
+    "eps0": (lambda v: 0.0 < v < EPS0_MAX, f"in (0, {EPS0_MAX})"),
 }
 
 # Each subcommand's defaults over DEFAULTS.
@@ -97,9 +115,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _check_types(cfg: dict, command: str) -> None:
-    """Every DEFAULTS key holds its default's type; an int stands for a
-    float, a float is finite, model is a name or a dict, and dispersion
-    takes a list of speeds as c."""
+    """Every DEFAULTS key holds its default's type and lies in its RANGES
+    entry; an int stands for a float, a float is finite, model is a name
+    or a dict, and dispersion takes a list of speeds as c."""
     for key, default in DEFAULTS.items():
         val = cfg[key]
         if key == "model":
@@ -113,6 +131,9 @@ def _check_types(cfg: dict, command: str) -> None:
             want = "an integer"
         else:
             ok, want = _is_number(val), "a number"
+        if ok and key in RANGES:
+            test, want = RANGES[key]
+            ok = test(val)
         if not ok:
             raise ConfigError(f"{key} must be {want}, got {val!r}")
 

@@ -34,7 +34,7 @@ __all__ = [
 
 SMOOTH_PASSES = 2      # binomial passes of FrontProfile.smoothed
 SLOPE_SPAN = 4         # half-width in bins of FrontProfile.ds
-ANCHOR_NODE = 0        # extract_profile anchors U_1(x_ANCHOR_NODE, 0) = 1/2
+ANCHOR_NODE = 0        # FrontProfile.anchored sets U_1(x_ANCHOR_NODE, 0) = 1/2
 MAX_GAP_CELLS = 1.0    # and fills holes up to this many cells wide
 CONVERGENCE_MARGIN_CELLS = 5   # window edge cells convergence_metric skips
 DECAY_FLOOR = 1e-12    # fit_decay's smallest fitted tail value
@@ -115,6 +115,20 @@ class FrontProfile:
         return FrontProfile(self.c, self.cell, self.s, U, self.occupancy,
                             self.monotonicity_defect, self.s_solid)
 
+    def anchored(self) -> "FrontProfile":
+        """This profile translated in s so that U_1(x_ANCHOR_NODE, 0) = 1/2
+        (its first upward crossing); U, occupancy and defect are shared."""
+        row = self.U[0, ANCHOR_NODE]
+        above = row >= 0.5
+        if not above.any() or above.all():
+            raise FrontError("cannot anchor: U_1 does not cross 1/2")
+        j = int(np.nonzero(~above[:-1] & above[1:])[0][0])
+        frac = (0.5 - row[j]) / (row[j + 1] - row[j])
+        s_half = float(self.s[j] + frac * self.cell.h)
+        return FrontProfile(self.c, self.cell, self.s - s_half, self.U,
+                            self.occupancy, self.monotonicity_defect,
+                            tuple(v - s_half for v in self.s_solid))
+
     @property
     def h_s(self) -> float:
         return float(self.s[1] - self.s[0])
@@ -155,6 +169,14 @@ class FrontProfile:
         return dU.reshape(self.m, -1).min(axis=1)
 
 
+def _first_longest_run(flags: np.ndarray):
+    """[start, stop) of the first of the longest runs of True in flags."""
+    runs = np.flatnonzero(np.diff(np.r_[0, flags, 0])).reshape(-1, 2)
+    if not len(runs):
+        raise FrontError("no s-column is covered by the full time window")
+    return runs[int(np.argmax(runs[:, 1] - runs[:, 0]))]
+
+
 def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
                     min_count: float = 5.0,
                     margin_cells: int = 3) -> FrontProfile:
@@ -166,8 +188,8 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
 
     Per cell row, bins below the occupancy threshold are filled by linear
     interpolation from their neighbors as long as the gap does not exceed
-    MAX_GAP_CELLS cell lengths; wider holes abort the extraction.  With
-    anchor=True the s-origin is shifted so U_1(x_{ANCHOR_NODE}, 0) = 1/2.
+    MAX_GAP_CELLS cell lengths; wider holes abort the extraction.
+    anchor=True returns the binned profile's FrontProfile.anchored().
 
     Transient memory is O(bins), the (cell node, s) histogram; s is
     recomputed per snapshot.  The snapshots of t_window are still read
@@ -230,17 +252,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     cov = (s_axis >= c * t1 - float(xw.max())) & \
           (s_axis <= c * t0 - float(xw.min()))
     solid = full[lo:hi + 1] & cov
-    best_len, best_lo, cur_lo = 0, 0, None
-    for k, flag in enumerate(np.concatenate([solid, [False]])):
-        if flag and cur_lo is None:
-            cur_lo = k
-        elif not flag and cur_lo is not None:
-            if k - cur_lo > best_len:
-                best_len, best_lo = k - cur_lo, cur_lo
-            cur_lo = None
-    if best_len == 0:
-        raise FrontError("no s-column is covered by the full time window")
-    solid_rng = (best_lo, best_lo + best_len - 1)
+    start, stop = _first_longest_run(solid)
 
     # fill undersampled interior bins per row by interpolation in s
     max_gap = MAX_GAP_CELLS * cell.L
@@ -260,21 +272,9 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
 
     incr = np.diff(U, axis=2)
     defect = float(max(0.0, -np.nanmin(incr)))
-
-    if anchor:
-        row = U[0, ANCHOR_NODE]
-        above = row >= 0.5
-        if not above.any() or above.all():
-            raise FrontError("cannot anchor: U_1 does not cross 1/2")
-        j = int(np.nonzero(~above[:-1] & above[1:])[0][0])
-        frac = (0.5 - row[j]) / (row[j + 1] - row[j])
-        s_half = s_axis[j] + frac * h
-        s_axis = s_axis - s_half
-
-    return FrontProfile(c=c, cell=cell, s=s_axis, U=U, occupancy=occ,
-                        monotonicity_defect=defect,
-                        s_solid=(float(s_axis[solid_rng[0]]),
-                                 float(s_axis[solid_rng[1]])))
+    prof = FrontProfile(c, cell, s_axis, U, occ, defect,
+                        (float(s_axis[start]), float(s_axis[stop - 1])))
+    return prof.anchored() if anchor else prof
 
 
 @dataclass(frozen=True)

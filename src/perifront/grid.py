@@ -45,6 +45,8 @@ __all__ = [
     "first_derivative",
 ]
 
+MIN_CELL_NODES = 16    # the coarsest cell grid CellGrid accepts
+
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -56,8 +58,9 @@ class CellGrid:
     def __post_init__(self):
         if not np.isfinite(self.L) or self.L <= 0:
             raise GridError(f"cell length must be positive, got {self.L}")
-        if self.n < 16:
-            raise GridError(f"grid too coarse: n = {self.n} < 16")
+        if self.n < MIN_CELL_NODES:
+            raise GridError(
+                f"grid too coarse: n = {self.n} < {MIN_CELL_NODES}")
 
     @property
     def h(self) -> float:

@@ -56,7 +56,11 @@ __all__ = [
 
 TOL_BOX = 1e-8         # roundoff allowed outside the box [0, 1]
 GUARD_CELLS = 10       # width of the downwind guard band
+MIN_WINDOW_CELLS = 20  # the narrowest window WindowGrid accepts
+EPS0_MAX = 0.5         # build_initial_front_like takes eps0 in (0, EPS0_MAX)
 CSV_BLOCK_ROWS = 2048
+NO_SNAPSHOTS = ("trajectory holds no snapshots, so there is no CSV to "
+                "write: a run stores none when store_from > T")
 
 
 def _write_rows(fh, values, prefix="", labels=None) -> None:
@@ -141,9 +145,9 @@ class WindowGrid:
     x_lo: float = 0.0
 
     def __post_init__(self):
-        if self.width_cells < 20:
-            raise PerifrontError(
-                f"window must span >= 20 cells, got {self.width_cells}")
+        if self.width_cells < MIN_WINDOW_CELLS:
+            raise PerifrontError(f"window must span >= {MIN_WINDOW_CELLS} "
+                                 f"cells, got {self.width_cells}")
         ratio = self.x_lo / self.cell.L
         if abs(ratio - round(ratio)) > 1e-12:
             raise PerifrontError("x_lo must be a multiple of the cell length")
@@ -184,6 +188,9 @@ class StepperConfig:
     guard_level: float = 0.5     # front-position guard level
 
     def validate_against(self, model) -> None:
+        if not self.snapshot_dt > 0.0:
+            raise PerifrontError(
+                f"snapshot_dt = {self.snapshot_dt:.4g} must be positive")
         lip = model.reaction_lipschitz()
         dt_max = 0.5 / max(lip, 1e-300)
         if not 0.0 < self.dt <= dt_max:
@@ -208,9 +215,7 @@ class Trajectory:
 
     def save_csv(self, path) -> None:
         if not self.snapshots:
-            raise PerifrontError(
-                "trajectory holds no snapshots, so there is no CSV to "
-                "write: a run stores none when store_from > T")
+            raise PerifrontError(NO_SNAPSHOTS)
         _write_snapshot_csv(path, self.window.x, self.m,
                             zip(self.times, self.snapshots))
 
@@ -297,8 +302,8 @@ def build_initial_front_like(model, window: WindowGrid, c: float,
     solutions converge to a translate of the front).  |x|^tau is floored
     at 1 to avoid the spurious zero at the origin.  Runs are rightward:
     a leftward front is the rightward one of the model with x reflected."""
-    if not (0.0 < eps0 < 0.5):
-        raise PerifrontError("eps0 must lie in (0, 1/2)")
+    if not (0.0 < eps0 < EPS0_MAX):
+        raise PerifrontError(f"eps0 must lie in (0, {EPS0_MAX})")
     if k <= 0.0:
         raise PerifrontError("k must be positive")
     disp = disp or Dispersion(model)
@@ -323,7 +328,8 @@ def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
     Snapshots are stored only for t >= store_from (long runs can keep
     memory bounded).  With csv_path, the stored snapshots are also written
     there as the trajectory CSV (Trajectory.save_csv's bytes); a failed
-    run leaves no file.  Deterministic: fixed step count, no adaptivity."""
+    run, or one that stores no snapshot, raises and leaves no file.
+    Deterministic: fixed step count, no adaptivity."""
     if T < 0.0:
         raise PerifrontError("T must be nonnegative")
     stepper = Stepper(model, window, cfg)
@@ -354,9 +360,11 @@ def run(model, state: SimState, window: WindowGrid, cfg: StepperConfig,
                     f"front reached the guard band at t = {state.t:.4g}: "
                     f"enlarge the window to window_cells >= {cells} or "
                     "shorten the run", window_cells=cells)
+        if csv_path is not None and not traj.snapshots:
+            # raised inside the stream, which removes the writer's file
+            raise PerifrontError(NO_SNAPSHOTS)
     if csv_path is not None and not stream:
-        _write_snapshot_csv(csv_path, window.x, state.u.shape[0],
-                            zip(traj.times, traj.snapshots))
+        traj.save_csv(csv_path)
     return traj
 
 

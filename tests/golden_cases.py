@@ -139,11 +139,9 @@ def synthetic_profiles():
     are 1.3 apart: keys raw_a, anchored_a, raw_b, anchored_b."""
     out = {}
     for tag, offset in (("a", 15.0), ("b", 16.3)):
-        traj = synthetic_traj(offset)
-        out[f"raw_{tag}"] = extract_profile(traj, C, anchor=False,
-                                            min_count=3)
-        out[f"anchored_{tag}"] = extract_profile(traj, C, anchor=True,
-                                                 min_count=3)
+        raw = extract_profile(synthetic_traj(offset), C, anchor=False,
+                              min_count=3)
+        out[f"raw_{tag}"], out[f"anchored_{tag}"] = raw, raw.anchored()
     return out
 
 
@@ -328,10 +326,11 @@ def clamped_convergence():
 
 _runs = [(f"{MODELS[i][0]}-dt{dt}", (i, dt))
          for i in range(3) for dt in (0.025, 0.03)]
+_t_windows = [("None", None), ("t_window1", (4.0, 7.0))]
 register("test_extract_profile_is_bitwise_equal", extracted_profile,
          [(f"{pid}-{anchor}-{tid}", args + (anchor, tw))
           for pid, args in _runs for anchor in (False, True)
-          for tid, tw in (("None", None), ("t_window1", (4.0, 7.0)))])
+          for tid, tw in _t_windows])
 register("test_convergence_metric_is_bitwise_equal", run_convergence, _runs)
 register("test_convergence_metric_matches_reference", synthetic_convergence,
          [(kind, (kind,)) for kind in ("anchored", "raw")])

@@ -50,8 +50,7 @@ def bench_a(constant2, disp2):
     c_est, c_err = measure_speed(traj, 0, 0.5, (45.0, 80.0))
     prof_raw = extract_profile(traj, c_est, t_window=(40.0, 80.0),
                                anchor=False)
-    prof_anchored = extract_profile(traj, c_est, t_window=(40.0, 80.0),
-                                    anchor=True)
+    prof_anchored = prof_raw.anchored()
     lam_c = disp2.lambda_c(2.5)
     fits = fit_decay(prof_raw, disp2.cascade(lam_c), lam_c, 0)
     del traj

@@ -1,16 +1,21 @@
 """The benchmark's traced mode (bench/spans.py) wraps perifront functions
 by module and name from outside the package; every name it spans must
 still resolve, and extract_profile must keep the parameters its sample
-count binds by name."""
+count binds by name.  The workloads (bench/workloads.py) call perifront
+by keyword, so every keyword they pass must still be a parameter."""
 
+import ast
 import importlib
 import inspect
 import types
 from pathlib import Path
 
+import perifront
+import perifront.cli  # noqa: F401  (the workloads call pf.cli.main)
 import perifront.fronts as fronts
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -53,3 +58,36 @@ def test_every_span_target_resolves_and_is_restored():
 def test_extract_profile_keeps_the_bound_parameters():
     params = inspect.signature(fronts.extract_profile).parameters
     assert {"margin_cells", "t_window"} <= set(params)
+
+
+def pf_keyword_calls():
+    """(dotted name, keyword, line) of every keyword that
+    bench/workloads.py passes to a pf.<name> callable."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        names, node = [], call.func
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "pf" and names:
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    yield ".".join(reversed(names)), kw.arg, call.lineno
+
+
+def test_workload_keywords_are_parameters():
+    checked = set()
+    for dotted, key, line in pf_keyword_calls():
+        target = perifront
+        for name in dotted.split("."):
+            target = getattr(target, name)
+        params = inspect.signature(target).parameters
+        takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        assert key in params or takes_any, (
+            f"bench/workloads.py:{line} passes {key}= to pf.{dotted}, "
+            "which has no such parameter")
+        checked.add(key)
+    assert {"anchor", "t_window", "store_from", "psi_pair",
+            "run_h5_heuristic"} <= checked

@@ -267,12 +267,43 @@ class TestErrors:
                                      "number")
             assert not out.exists()
 
-    def test_zero_dt_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, words", [
+        ("--n=8", "n must be at least 16, got 8"),
+        ("--L=0", "L must be positive, got 0.0"),
+        ("--window-cells=10", "window_cells must be at least 20, got 10"),
+        ("--eps0=0.7", "eps0 must be in (0, 0.5), got 0.7"),
+        ("--k=0", "k must be positive, got 0.0"),
+        ("--T=-1", "T must be nonnegative, got -1.0"),
+        ("--dt=0", "dt must be positive, got 0.0"),
+        ("--snapshot-dt=0", "snapshot_dt must be positive, got 0.0"),
+    ])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, flag, words):
+        # the library's own range checks, named by key before any work;
+        # the flag comes last, so it overrides the short run's
         out = tmp_path / "sim"
-        rc = main(["simulate", "--dt", "0", "--out", str(out)])
+        rc = main(["simulate", "--T=1", "--window-cells=20", flag,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: {words}"]
+        assert not out.exists()
+
+    def test_out_of_range_config_value_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "coarse.json"
+        cfgfile.write_text('{"n": 8}')
+        out = tmp_path / "disp"
+        rc = main(["dispersion", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: n must be at least 16, got 8"]
+
+    def test_dt_above_reaction_bound_exit_3(self, tmp_path, capsys):
+        # the bound depends on the model: StepperConfig's check, exit 3
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--dt", "0.5", "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: dt = 0 must be positive and at "
+        assert err == ["numerical failure: dt = 0.5 must be positive and at "
                        "most the explicit-reaction bound 0.5/max|dF_i/du_i| "
                        "= 0.3125"]
         assert list(out.iterdir()) == []

@@ -13,7 +13,8 @@ roundoff only.
 Where a fast path replaced an earlier version of itself (the factored cell
 solves, the grouped implicit steps, the block CSV writers, the shared
 eigensolve, bisection, eps-halving and H7 loops, the profile binned
-without stored s arrays, the one-table convergence series, the co-moving
+without stored s arrays and anchored as a translation of one binning,
+the one-table convergence series, the co-moving
 certify candidates), it was checked bit for bit against that version when
 it landed.  Those bits are recorded in tests/golden.json, and each such
 test checks its cases of tests/golden_cases.py against the manifest under
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 
 import golden
+import golden_cases
 import perifront.certify as certify
 import perifront.dispersion as dispersion
 import perifront.fronts as fronts
@@ -69,6 +71,22 @@ def recorded(test):
 for _test in dict.fromkeys(case.split("[")[0] for case in CASES
                            if "[" in case):
     globals()[_test] = recorded(_test)
+
+
+@pytest.mark.parametrize("pid, args", golden_cases._runs,
+                         ids=[pid for pid, _ in golden_cases._runs])
+@pytest.mark.parametrize("tid, t_window", golden_cases._t_windows,
+                         ids=[tid for tid, _ in golden_cases._t_windows])
+def test_anchored_keeps_the_recorded_anchor_true_bits(pid, args, tid,
+                                                      t_window):
+    # the anchored profile of one binning: the bits that anchor=True
+    # recorded when it binned the trajectory a second time
+    raw = extract_profile(golden_cases.cauchy_run(*args), C,
+                          t_window=t_window, anchor=False, min_count=3)
+    anchored = raw.anchored()
+    assert [type(v) for v in anchored.s_solid] == [float, float]
+    golden.check_case(f"test_extract_profile_is_bitwise_equal[{pid}-True-"
+                      f"{tid}]", golden_cases.profile_parts(anchored))
 
 
 # ---------------------------------------------------------------------------

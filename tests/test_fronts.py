@@ -9,6 +9,7 @@ from perifront import (Dispersion, FrontProfile, SimState, Trajectory,
                        log_derivative_diagnostics, make_cell_grid, make_model,
                        measure_speed, shift_distance)
 from perifront.errors import FrontError
+from perifront.fronts import _first_longest_run
 
 
 CELL = make_cell_grid(1.0, 64)
@@ -120,6 +121,36 @@ class TestExtractProfile:
         prof = extract_profile(traj, c, anchor=True, min_count=3)
         val = prof.eval(np.array([0]), np.array([0.0]))
         assert val[0, 0] == pytest.approx(0.5, abs=1e-6)
+
+
+def ref_first_longest_run(flags):
+    """The scan that extract_profile ran before the vectorised search:
+    [start, stop) of the first longest run of True, None if there is none."""
+    best_len, best_lo, cur_lo = 0, 0, None
+    for k, flag in enumerate(list(flags) + [False]):
+        if flag and cur_lo is None:
+            cur_lo = k
+        elif not flag and cur_lo is not None:
+            if k - cur_lo > best_len:
+                best_len, best_lo = k - cur_lo, cur_lo
+            cur_lo = None
+    return (best_lo, best_lo + best_len) if best_len else None
+
+
+def test_first_longest_run_matches_the_scan():
+    # runs at both ends, ties (the first one wins), one long run, none
+    rng = np.random.default_rng(5)
+    cases = [rng.random(n) < p for n in (1, 2, 7, 40, 300)
+             for p in (0.0, 0.3, 0.5, 0.8, 1.0) for _ in range(20)]
+    cases += [np.array([True, False, True]),
+              np.array([False, True, True, False, True, True])]
+    for flags in cases:
+        want = ref_first_longest_run(flags)
+        if want is None:
+            with pytest.raises(FrontError, match="no s-column"):
+                _first_longest_run(flags)
+        else:
+            assert tuple(_first_longest_run(flags)) == want
 
 
 class TestFitDecay:

@@ -90,6 +90,16 @@ class TestStep:
         with pytest.raises(PerifrontError, match="must be positive"):
             run(constant2, st, win, StepperConfig(dt=dt), 1.0)
 
+    @pytest.mark.parametrize("snapshot_dt", [0.0, -0.1, float("nan")])
+    def test_nonpositive_snapshot_dt_rejected(self, constant2, snapshot_dt):
+        # snapshot_dt 0 stored every step
+        win = WindowGrid(constant2.cell, 20)
+        st = SimState(0.0, np.zeros((2, win.npts)))
+        with pytest.raises(PerifrontError,
+                           match="snapshot_dt = .* must be positive"):
+            run(constant2, st, win, StepperConfig(snapshot_dt=snapshot_dt),
+                1.0)
+
 
 class TestRun:
     def test_T_zero(self, constant2):
@@ -181,22 +191,21 @@ class TestCsvStream:
         assert path.is_dir()
         assert multiprocessing.active_children() == []
 
-    def test_empty_trajectory_fallback_matches_stream(self, constant2,
-                                                      tmp_path, monkeypatch):
-        # store_from > T stores no snapshot: both paths write the header
+    def test_empty_trajectory_raises_on_both_paths(self, constant2,
+                                                   tmp_path, monkeypatch):
+        # store_from > T stores no snapshot: the forked writer and the
+        # in-process fallback both raise Trajectory.save_csv's error and
+        # leave no file
         win = WindowGrid(constant2.cell, 20)
         cfg = StepperConfig(dt=0.01, snapshot_dt=0.1)
-        stream = tmp_path / "stream.csv"
-        run(constant2, smooth_step(win), win, cfg, 0.3, store_from=1.0,
-            csv_path=stream)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        fallback = tmp_path / "fallback.csv"
-        traj = run(constant2, smooth_step(win), win, cfg, 0.3,
-                   store_from=1.0, csv_path=fallback)
-        assert traj.snapshots == []
-        assert fallback.read_bytes() == stream.read_bytes() \
-            == b"# t, x, u_1, u_2\n"
+        for name in ("stream.csv", "fallback.csv"):
+            path = tmp_path / name
+            with pytest.raises(PerifrontError, match="holds no snapshots"):
+                run(constant2, smooth_step(win), win, cfg, 0.3,
+                    store_from=1.0, csv_path=path)
+            assert not path.exists()
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
 
 
 class TestComparisonAndBox:
