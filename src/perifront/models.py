@@ -66,7 +66,10 @@ class PolyH:
     """One per-capita growth rate h_i(x, u), polynomial of degree <= 2 in u.
 
     c: (n,) constant part; b: (m, n) linear part; Q: (m, m, n) quadratic
-    part (may be None), contributing u^T Q(x) u.
+    part (may be None), contributing u^T Q(x) u.  The Stepper builds its
+    window copy with the trailing node axis of each of c, b and Q either
+    gathered onto the window's nodes or, for a field constant over the
+    cell, of length 1, so that it broadcasts.
     """
 
     c: np.ndarray
@@ -92,24 +95,28 @@ class PolyH:
 
     def __call__(self, u: np.ndarray, xidx) -> np.ndarray:
         """u: (m, npts), xidx: (npts,) cell-node indices -> (npts,); pass
-        slice(None) when the coefficients are already gathered onto u's
-        nodes.  The linear and quadratic parts sum over the nonzero rows
-        of b and the nonzero pairs of Q only, each in the dense einsum's
-        order (the linear sum is formed before c is added), so the result
-        is the same."""
+        slice(None) when the coefficients are already on u's nodes
+        (gathered, or of length 1 where constant).  The linear and
+        quadratic parts sum over the nonzero rows of b and the nonzero
+        pairs of Q only, each in the dense einsum's order (the linear sum
+        is formed before c is added), so the result is the same; the sums
+        accumulate in place into a fresh array."""
         if self._rows:
             k, *rest = self._rows
-            lin = self.b[k, xidx] * u[k]
+            out = self.b[k, xidx] * u[k]
             for k in rest:
-                lin += self.b[k, xidx] * u[k]
-            out = self.c[xidx] + lin
+                out += self.b[k, xidx] * u[k]
+            np.add(self.c[xidx], out, out=out)
         else:
-            out = self.c[xidx].copy()
+            out = np.broadcast_to(self.c[xidx], u.shape[1:]).copy()
         if self._pairs:
             (k, l), *rest = self._pairs
-            quad = u[k] * self.Q[k, l, xidx] * u[l]
+            quad = u[k] * self.Q[k, l, xidx]
+            quad *= u[l]
             for k, l in rest:
-                quad += u[k] * self.Q[k, l, xidx] * u[l]
+                term = u[k] * self.Q[k, l, xidx]
+                term *= u[l]
+                quad += term
             out += quad
         return out
 
@@ -182,7 +189,7 @@ class ReactionModel:
         """Reaction term; u: (m, npts) -> (m, npts)."""
         out = np.empty_like(u)
         for i in range(self.m):
-            out[i] = u[i] * self.h[i](u, xidx)
+            np.multiply(u[i], self.h[i](u, xidx), out=out[i])
             for j in range(i):
                 a = self.coupling(i, j)
                 if a is not None:

@@ -191,6 +191,12 @@ class StepperConfig:
         if not self.snapshot_dt > 0.0:
             raise PerifrontError(
                 f"snapshot_dt = {self.snapshot_dt:.4g} must be positive")
+        for name in ("left_value", "right_value"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:      # NaN fails it too
+                raise PerifrontError(
+                    f"{name} = {value:.4g} must be a finite number in the "
+                    "box [0, 1]")
         lip = model.reaction_lipschitz()
         dt_max = 0.5 / max(lip, 1e-300)
         if not 0.0 < self.dt <= dt_max:
@@ -220,6 +226,20 @@ class Trajectory:
                             zip(self.times, self.snapshots))
 
 
+def _on_window(field, xidx: np.ndarray):
+    """A coefficient field (trailing axis: cell nodes; None passes through)
+    on the window nodes with cell-node indices xidx: gathered, or kept on
+    a trailing length-1 axis when every node holds node 0's bits, so that
+    it broadcasts."""
+    if field is None:
+        return None
+    field = np.asarray(field)
+    first = field[..., :1]
+    if ((field == first) & (np.signbit(field) == np.signbit(first))).all():
+        return first
+    return field[..., xidx]
+
+
 class Stepper:
     """IMEX stepper with one factored implicit solve per distinct transport
     operator (d_i, q_i), shared by every component that has it."""
@@ -241,15 +261,16 @@ class Stepper:
             lo, hi = comps[0], comps[-1] + 1
             index = slice(lo, hi) if comps == list(range(lo, hi)) else comps
             self._solves.append((index, self._factor(lo)))
-        # the reaction coefficients gathered onto the window once, so that
-        # each step evaluates F(u, slice(None)) without re-gathering them
+        # the reaction coefficients put on the window once, so that each
+        # step evaluates F(u, slice(None)) without re-gathering them:
+        # constant fields stay length-1 and broadcast, the others are
+        # gathered onto the window's nodes
         idx = self.xidx
         self._reaction = dataclasses.replace(
             model,
-            h=[PolyH(h.c[idx], h.b[:, idx],
-                     None if h.Q is None else h.Q[:, :, idx])
-               for h in model.h],
-            couplings={ij: np.asarray(a)[idx]
+            h=[PolyH(_on_window(h.c, idx), _on_window(h.b, idx),
+                     _on_window(h.Q, idx)) for h in model.h],
+            couplings={ij: _on_window(a, idx)
                        for ij, a in model.couplings.items()})
 
     def _factor(self, i: int):
@@ -273,17 +294,27 @@ class Stepper:
     def step(self, state: SimState) -> SimState:
         cfg = self.cfg
         u = state.u
-        rhs = u + cfg.dt * self._reaction.F(u, slice(None))
+        # u + dt F(u), built in F's output array
+        rhs = self._reaction.F(u, slice(None))
+        rhs *= cfg.dt
+        rhs += u
         rhs[:, 0] = cfg.left_value
         rhs[:, -1] = cfg.right_value
-        new = np.empty_like(u)
-        for comps, lu in self._solves:
-            new[comps] = lu.solve(rhs[comps].T).T
+        if len(self._solves) == 1:     # one solve covers every component
+            new = self._solves[0][1].solve(rhs.T).T
+        else:
+            new = np.empty_like(u)
+            for comps, lu in self._solves:
+                new[comps] = lu.solve(rhs[comps].T).T
         lo, hi = float(new.min()), float(new.max())
-        if lo < -TOL_BOX or hi > 1.0 + TOL_BOX:
+        # written so that a NaN fails it
+        if not (lo >= -TOL_BOX and hi <= 1.0 + TOL_BOX):
+            cause = ("dt too large for this reaction"
+                     if math.isfinite(lo) and math.isfinite(hi)
+                     else "the state holds a NaN or an infinity")
             raise PerifrontError(
                 f"box invariance violated (min {lo:.3e}, max {hi:.3e}): "
-                "dt too large for this reaction")
+                f"{cause}")
         return SimState(state.t + cfg.dt, new)
 
     def guard_triggered(self, state: SimState) -> bool:

@@ -156,7 +156,19 @@ def ref_sup_dist_shifted(U, V, z):
 # reaction
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+def mixed_custom2():
+    """custom2 with field-valued h_2 and constant h_1 and a_21, so that
+    the Stepper keeps some coefficients length-1 and gathers others."""
+    rng = np.random.default_rng(13)
+    mean, amp = -1.0 + 0.2 * rng.random(), 0.1 * rng.random()
+    return make_model("custom2", CELL, zeta2={"cosine": {"mean": mean,
+                                                          "amp": amp}},
+                      q1={"cosine": {"mean": 0.0, "amp": 0.3}})
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(m, id=m.name) for m in all_models()),
+    pytest.param(mixed_custom2(), id="custom2-mixed")])
 def test_gathered_F_is_bitwise_equal(model):
     window = WindowGrid(model.cell, 20)
     rng = np.random.default_rng(3)
@@ -165,6 +177,19 @@ def test_gathered_F_is_bitwise_equal(model):
     assert np.array_equal(model.F(u, window.xidx), ref)
     stepper = Stepper(model, window, StepperConfig(dt=1e-4))
     assert np.array_equal(stepper._reaction.F(u, slice(None)), ref)
+
+
+def test_constant_fields_stay_length_1():
+    model = mixed_custom2()
+    window = WindowGrid(model.cell, 20)
+    h1, h2 = Stepper(model, window, StepperConfig(dt=1e-4))._reaction.h
+    assert h1.c.shape == (1,) and h1.b.shape == (2, 1)
+    assert h2.c.shape == h2.b.shape[1:] == (window.npts,)
+    for name in ("constant2", "periodic2", "chain-m"):
+        model = make_model(name, CELL)
+        reaction = Stepper(model, window, StepperConfig(dt=1e-4))._reaction
+        assert {h.c.shape for h in reaction.h} == {(1,)}
+        assert {a.shape for a in reaction.couplings.values()} == {(1,)}
 
 
 def test_sparse_quadratic_skips_zero_pairs():
@@ -208,6 +233,8 @@ def polyh_cases():
                            b=rng.standard_normal((m, n))), id="dense-b"),
         pytest.param(PolyH(c=rng.standard_normal(n), b=np.zeros((m, n))),
                      id="zero-b"),
+        pytest.param(PolyH(c=np.full(n, 0.7), b=np.zeros((m, n))),
+                     id="constant-c-zero-b"),
         pytest.param(PolyH(c=rng.standard_normal(n), b=np.zeros((m, n)),
                            Q=Q), id="Q-only")]
 
@@ -224,10 +251,18 @@ def test_sparse_polyh_is_bitwise_equal(h):
     gathered = PolyH(h.c[xidx], h.b[:, xidx],
                      None if h.Q is None else h.Q[:, :, xidx])
     assert np.array_equal(gathered(u, slice(None)), ref)
+    # each constant field on a length-1 axis, as the Stepper keeps it
+    windowed = PolyH(*(None if f is None else f[..., :1]
+                       if np.all(f == f[..., :1]) else f[..., xidx]
+                       for f in (h.c, h.b, h.Q)))
+    assert np.array_equal(windowed(u, slice(None)), ref)
     # the result is a fresh array, never a view of c
-    out = gathered(u, slice(None))
-    out += 1.0
-    assert np.array_equal(gathered.c, h.c[xidx])
+    for p in (gathered, windowed):
+        c = p.c.copy()
+        out = p(u, slice(None))
+        out += 1.0
+        assert out.shape == (window.npts,)
+        assert np.array_equal(p.c, c)
 
 
 def test_sparse_linear_skips_zero_rows():
@@ -278,6 +313,24 @@ def test_constant2_and_periodic2_share_their_operator():
         stepper = Stepper(model, WindowGrid(model.cell, 20),
                           StepperConfig(dt=0.01))
         assert len(stepper._solves) == 1
+
+
+@pytest.mark.parametrize("name, kw, cells", [("constant2", {}, 150),
+                                             ("chain-m", {"m": 5}, 200)],
+                         ids=["constant2", "chain-m5"])
+def test_step_peak_memory(name, kw, cells):
+    # u + dt F(u) is built in F's output, and the one solve's result is
+    # the new state: at most rhs, the new state and F's row temporaries
+    # (an out-of-place right-hand side and a copied solve result peak at
+    # 3.5 and 3.0 state sizes)
+    model = make_model(name, CELL, **kw)
+    window = WindowGrid(model.cell, cells)
+    stepper = Stepper(model, window, StepperConfig(dt=0.01))
+    state = SimState(0.0, np.random.default_rng(0).random((model.m,
+                                                            window.npts)))
+    stepper.step(state)
+    _, peak = traced_peak(stepper.step, state)
+    assert peak <= 2.6 * state.u.nbytes
 
 
 # ---------------------------------------------------------------------------

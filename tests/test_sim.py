@@ -100,6 +100,28 @@ class TestStep:
             run(constant2, st, win, StepperConfig(snapshot_dt=snapshot_dt),
                 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("left_value", 1.5), ("left_value", float("nan")),
+        ("right_value", -0.1), ("right_value", float("inf"))])
+    def test_edge_value_outside_box_rejected(self, constant2, field, value):
+        # named before the first step: unchecked, 1.5 fails a step later
+        # as "dt too large", and NaN runs without error
+        win = WindowGrid(constant2.cell, 20)
+        st = SimState(0.0, np.zeros((2, win.npts)))
+        with pytest.raises(PerifrontError,
+                           match=f"{field} = .* must be a finite number in "
+                                 r"the box \[0, 1\]"):
+            run(constant2, st, win, StepperConfig(**{field: value}), 1.0)
+
+    def test_nan_state_fails_the_box_check(self, constant2):
+        win = WindowGrid(constant2.cell, 20)
+        u = np.zeros((2, win.npts))
+        u[1, win.npts // 2] = np.nan
+        stepper = Stepper(constant2, win, StepperConfig(dt=0.01))
+        with pytest.raises(PerifrontError, match="box invariance violated "
+                           r"\(min nan, max nan\): the state holds a NaN"):
+            stepper.step(SimState(0.0, u))
+
 
 class TestRun:
     def test_T_zero(self, constant2):
