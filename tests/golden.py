@@ -9,8 +9,8 @@ sections:
   criterion itself;
 - library: the digest of each case in tests/golden_cases.py, checked
   under the case's id by tests/test_fast_paths.py.  An array is hashed by
-  its dtype, shape and bytes, a report or a parameter dict by its JSON
-  with sorted keys.
+  its dtype, shape and bytes, a scalar, a report or a parameter dict by
+  its type and its JSON with sorted keys.
 
 A check passes when this run has the recorded versions and the value
 equals the recorded one.  A change that moves these numbers on purpose,
@@ -92,7 +92,8 @@ def digests(outdir: Path) -> dict:
 def digest(value) -> str:
     """sha256 of a case's value: an array by its dtype, shape and bytes,
     bytes as they are, a list or tuple item by item, anything else by its
-    JSON with sorted keys."""
+    type and its JSON with sorted keys (so an np.float64 and a float of
+    the same value differ)."""
     h = hashlib.sha256()
 
     def feed(v):
@@ -106,7 +107,9 @@ def digest(value) -> str:
             for item in v:
                 feed(item)
         else:
-            h.update(json.dumps(v, sort_keys=True).encode() + b"\n")
+            kind = type(v)
+            h.update(f"{kind.__module__}.{kind.__qualname__} ".encode()
+                     + json.dumps(v, sort_keys=True).encode() + b"\n")
 
     feed(value)
     return h.hexdigest()

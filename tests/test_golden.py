@@ -1,5 +1,7 @@
 """The manifest holds exactly what the checks read."""
 
+import numpy as np
+
 import golden
 from golden_cases import CASES
 
@@ -14,3 +16,10 @@ def test_manifest_keys_are_the_criteria_and_cases():
     assert sorted(manifest["acceptance"]) == sorted(golden.criteria())
     assert len(golden.criteria()) == len(set(golden.criteria())) == 12
     assert sorted(manifest["library"]) == sorted(CASES)
+
+
+def test_digest_tells_a_numpy_scalar_from_a_float():
+    """A scalar's type is part of its digest, in a list or alone."""
+    assert golden.digest(np.float64(0.5)) != golden.digest(0.5)
+    assert golden.digest([np.float64(0.5), 1.0]) != golden.digest([0.5, 1.0])
+    assert golden.digest(0.5) == golden.digest(0.5)
