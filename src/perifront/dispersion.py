@@ -7,6 +7,10 @@ critical speed is the minimum of kappa_1(lam)/lam over lam > 0, attained at
 lam_+0; for c above the critical speed, lam_c is the smaller root of
 kappa_1(lam) = c*lam and controls the exponential decay of front tails.
 
+Both are roots found by one bracketing routine: lam_+0 of the tangency
+lam kappa_1' = kappa_1, with kappa_1' exact from the left and right Perron
+vectors; kappa_1 is convex in lam, so each bracket holds one root.
+
 The vector eigenfunction Phi_lam is assembled component by component: phi_1
 is the scalar Perron vector, and each phi_j (j >= 2) solves the shifted
 system (kappa_1(lam) I - A_j) phi_j = sum_{k<j} a_jk phi_k, which has a
@@ -15,6 +19,7 @@ positive solution exactly because kappa_1 dominates kappa_j.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +35,16 @@ __all__ = [
     "EigenfunctionDerivative",
     "Dispersion",
     "golden_section_min",
-    "bracket_and_minimize",
+    "bracketed_root",
+    "min_ratio",
     "bisect",
     "boundary_speeds_A6",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-LAMBDA_MIN = 1e-4
 LAMBDA_MAX = 64.0
+ROOT_RTOL = 1e-13          # bracketed_root's step tolerance, times max(1, |x|)
+ROOT_MAX_STEPS = 200
 GAP_FLOOR = 1e-8           # least curve gap the cascade accepts
 CASCADE_RESID_TOL = 1e-8   # cascade residual bound, times max(1, max phi_j)
 RICHARDSON_TOL = 1e-4      # step-halving defect bound of dPhi/dlam
@@ -61,34 +68,58 @@ def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
     return xm, f(xm)
 
 
-def bracket_and_minimize(ratio, tol: float, error: str):
-    """Minimizer and minimum of a unimodal ratio over lam > 0.
+def bracketed_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root of f in [lo, hi], where flo = f(lo) and fhi = f(hi) differ in
+    sign, by Illinois regula falsi (the secant point replaces the end of
+    its sign; an end kept twice running has its value halved).  Returns
+    the first point within ROOT_RTOL * max(1, |x|) of the one before."""
+    x, side = math.inf, 0
+    for _ in range(ROOT_MAX_STEPS):
+        x, last = float(hi - fhi * (hi - lo) / (fhi - flo)), x
+        fx = f(x)
+        if fx == 0.0 or abs(x - last) <= ROOT_RTOL * max(1.0, abs(x)):
+            return x
+        if (fx > 0.0) == (fhi > 0.0):
+            if side == 1:
+                flo /= 2.0
+            hi, fhi, side = x, fx, 1
+        else:
+            if side == -1:
+                fhi /= 2.0
+            lo, flo, side = x, fx, -1
+    raise PerifrontError(
+        f"root not converged in {ROOT_MAX_STEPS} steps on [{lo}, {hi}]")
 
-    The bracket [LAMBDA_MIN, 2 hi] is grown by doubling hi from 1 while
-    the ratio still decreases (PerifrontError(error) once hi passes
-    LAMBDA_MAX), then golden-section search to tol localizes the minimum.
-    """
-    hi = 1.0
-    while ratio(2.0 * hi) < ratio(hi):
-        hi *= 2.0
+
+def min_ratio(curve, k0: float, error: str):
+    """(min over lam > 0 of kappa(lam)/lam, its minimiser) for a convex
+    kappa with kappa(0) = k0 > 0, where curve(lam) = (kappa, kappa'): the
+    root of g = lam kappa' - kappa, increasing from g(0) = -k0, bracketed
+    by doubling hi from 1 until g(hi) > 0 (PerifrontError(error) once hi
+    passes LAMBDA_MAX)."""
+    def g(lam):
+        kappa, slope = curve(lam)
+        return lam * slope - kappa
+
+    lo, glo, hi = 0.0, -k0, 1.0
+    while (ghi := g(hi)) <= 0.0:
+        lo, glo, hi = hi, ghi, 2.0 * hi
         if hi > LAMBDA_MAX:
             raise PerifrontError(error)
-    return golden_section_min(ratio, LAMBDA_MIN, 2.0 * hi, tol=tol)
+    lam0 = bracketed_root(g, lo, hi, glo, ghi)
+    return curve(lam0)[0] / lam0, lam0
 
 
-def bisect(below, lo: float, hi: float, steps: int, rtol: float = 0.0):
+def bisect(below, lo: float, hi: float, steps: int):
     """Bisection of [lo, hi] for the point where the predicate below turns
     false: the midpoint replaces lo where below(mid) holds and hi
-    otherwise, for at most steps halvings and until hi - lo <=
-    rtol * max(1, hi).  Returns the final (lo, hi)."""
+    otherwise, for steps halvings.  Returns the final (lo, hi)."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * max(1.0, hi):
-            break
     return lo, hi
 
 
@@ -147,12 +178,15 @@ class Dispersion:
             eta=PeriodicField(cell, self.model.zeta(i)),
             lam=lam, e=self.e)
 
-    def _pair(self, i: int, lam: float):
+    def _pair(self, i: int, lam: float, left: bool = False):
+        """Memoized Perron pair; left=True wants psi and the slope (solved
+        again if the memo's pair lacks them)."""
         key = (i, round(lam, 12))
-        if key not in self._pair_memo:
-            self._pair_memo[key] = principal_eig_scalar(
-                self._component_spec(i, lam))
-        return self._pair_memo[key]
+        pair = self._pair_memo.get(key)
+        if pair is None or (left and pair.left is None):
+            pair = self._pair_memo[key] = principal_eig_scalar(
+                self._component_spec(i, lam), left=left)
+        return pair
 
     def kappa(self, i: int, lam: float) -> float:
         """kappa_i(lam): principal eigenvalue of the tilted component-i
@@ -163,9 +197,8 @@ class Dispersion:
         """(c_plus0, lambda_plus0): minimal value and minimizer of
         kappa_1(lam)/lam over lam > 0.
 
-        The bracket is grown geometrically until the ratio increases, then
-        golden-section search localizes the minimum of the (strictly
-        unimodal) ratio.
+        min_ratio finds lambda_plus0 as the root of the tangency condition
+        lam kappa_1'(lam) = kappa_1(lam), with the exact kappa1_prime.
         """
         if self._crit is not None:
             return self._crit
@@ -174,17 +207,13 @@ class Dispersion:
             raise PerifrontError(
                 f"kappa_1(0) = {k0:.6g} <= 0: the zero state is not "
                 "linearly unstable, no finite spreading speed")
-        ratio = lambda lam: self.kappa(0, lam) / lam
-        lam0, _ = bracket_and_minimize(
-            ratio, 1e-8, f"no ratio minimum found below lam = {LAMBDA_MAX}")
-        # polish with the tangency condition lam*kappa' = kappa, whose root
-        # is far better conditioned than the flat ratio minimum
-        g = lambda lam: lam * self.kappa1_prime(lam, 1e-3) - self.kappa(0, lam)
-        a, b = max(LAMBDA_MIN, lam0 - 1e-2), lam0 + 1e-2
-        if g(a) < 0.0 < g(b):
-            a, b = bisect(lambda lam: g(lam) < 0.0, a, b, 80, 1e-12)
-            lam0 = 0.5 * (a + b)
-        self._crit = (ratio(lam0), lam0)
+
+        def curve(lam):
+            slope = self.kappa1_prime(lam)     # first: solves psi too
+            return self.kappa(0, lam), slope
+
+        self._crit = min_ratio(
+            curve, k0, f"no ratio minimum found below lam = {LAMBDA_MAX}")
         return self._crit
 
     def tau(self, c: float) -> int:
@@ -203,12 +232,12 @@ class Dispersion:
         if self.tau(c):
             return lam0
         g = lambda lam: self.kappa(0, lam) - c * lam
-        # g(0+) = kappa_1(0) > 0, g(lam0) = lam0 (c0 - c) < 0
-        lo, hi = bisect(lambda lam: g(lam) > 0.0, 1e-12, lam0, 200, 1e-13)
-        return 0.5 * (lo + hi)
+        # g(0) = kappa_1(0) > 0, g(lam0) = lam0 (c0 - c) < 0
+        return bracketed_root(g, 0.0, lam0, g(0.0), g(lam0))
 
-    def kappa1_prime(self, lam: float, dlam: float) -> float:
-        return (self.kappa(0, lam + dlam) - self.kappa(0, lam - dlam)) / (2 * dlam)
+    def kappa1_prime(self, lam: float) -> float:
+        """kappa_1'(lam), exact for the assembled matrix."""
+        return self._pair(0, lam, left=True).slope
 
     # -- vector eigenfunctions --------------------------------------------
 
@@ -277,7 +306,7 @@ class Dispersion:
             raise PerifrontError(
                 f"lambda-derivative not Richardson-consistent "
                 f"(defect {defect:.3e} at dlam = {dlam:.3g})")
-        kprime = self.kappa1_prime(lam, dlam)
+        kprime = self.kappa1_prime(lam)
         return EigenfunctionDerivative(
             lam, tuple(PeriodicField(cell, der[i]) for i in range(len(der))),
             kprime, defect)
@@ -304,17 +333,19 @@ def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s):
     state of the two-species competition application.
 
     c_minus = inf_{lam>0} kappa_e(d1, q1, a11*, lam)/lam and
-    c_plus uses the opposite exponential tilt (-lam) with (d2, q2, a22*).
+    c_plus uses the opposite direction (e = -1) with (d2, q2, a22*); both
+    by min_ratio, as c_plus0.
     """
-    def make(dv, qv, ev, lam, tilt_sign):
-        return principal_eig_scalar(OperatorSpec(
-            d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),
-            eta=PeriodicField(cell, ev), lam=tilt_sign * lam)).value
+    def speed(dv, qv, ev, e):
+        @functools.cache
+        def curve(lam):
+            spec = OperatorSpec(
+                d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),
+                eta=PeriodicField(cell, ev), lam=lam, e=e)
+            pair = principal_eig_scalar(spec, left=True)
+            return pair.value, pair.slope
 
-    def minimize(ratio):
-        return bracket_and_minimize(
-            ratio, 1e-11, "no bracket for boundary speed")[1]
+        return min_ratio(curve, curve(0.0)[0],
+                         "no bracket for boundary speed")[0]
 
-    c_minus = minimize(lambda lam: make(d1, q1, a11s, lam, +1.0) / lam)
-    c_plus = minimize(lambda lam: make(d2, q2, a22s, lam, -1.0) / lam)
-    return c_minus, c_plus
+    return speed(d1, q1, a11s, 1), speed(d2, q2, a22s, -1)

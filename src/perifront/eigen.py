@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ReducibleCouplingError
-from .grid import (CellGrid, OperatorSpec, PeriodicField,
+from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
                    assemble_tilted_operator)
 
 __all__ = [
@@ -39,10 +39,13 @@ class EigenPair:
     vector: PeriodicField
     residual: float
     iterations: int
+    left: PeriodicField | None = None    # psi, solved with left=True
+    slope: float | None = None           # d value / d lam, likewise
 
     def __post_init__(self):
-        if self.vector.min() <= 0.0:
-            raise ConvergenceError("principal eigenvector is not positive")
+        for v in (self.vector, self.left):
+            if v is not None and v.min() <= 0.0:
+                raise ConvergenceError("principal eigenvector is not positive")
 
 
 @dataclass(frozen=True)
@@ -75,21 +78,35 @@ def _inverse_power(solve, matvec, norm, sigma, v, est, tol):
         f"(last residual {resid:.3e})")
 
 
-def principal_eig_scalar(spec: OperatorSpec) -> EigenPair:
+def principal_eig_scalar(spec: OperatorSpec, left: bool = False) -> EigenPair:
     """Perron eigenpair of the assembled tilted operator.
 
     Returns (kappa, phi) with ||A phi - kappa phi||_inf <= SCALAR_TOL *
-    max(1, |kappa|) and phi > 0
-    normalized to mean(phi) = 1 (a smooth normalization in lam, which the
-    dispersion module differentiates through).
+    max(1, |kappa|) and phi > 0 normalized to mean(phi) = 1 (a smooth
+    normalization in lam, which the dispersion module differentiates
+    through).  left=True adds psi > 0, the same iteration on A^T, and the
+    exact slope d kappa/d lam = psi^T A' phi / psi^T phi, A' the entrywise
+    lam-derivative of A (Kato, ch. II).
     """
     A = assemble_tilted_operator(spec)
     sigma = 1.0 + A.gershgorin_max()
     ones = np.ones(A.n)
-    kappa, phi, resid, it = _inverse_power(
-        A.shifted_from(sigma).factor().solve, A.matvec, np.ndarray.mean,
-        sigma, ones, float(A.matvec(ones).mean()), SCALAR_TOL)
-    return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
+
+    def perron(B):
+        return _inverse_power(
+            B.shifted_from(sigma).factor().solve, B.matvec, np.ndarray.mean,
+            sigma, ones, float(B.matvec(ones).mean()), SCALAR_TOL)
+
+    kappa, phi, resid, it = perron(A)
+    grid, psi, slope = spec.d.grid, None, None
+    if left:
+        psi = perron(A.transposed())[1]
+        de = spec.d.values * spec.e / grid.h
+        dA = BandedMatrix(de, 2.0 * spec.lam * spec.d.values
+                          - spec.q.values * spec.e, -de)
+        slope = psi @ dA.matvec(phi) / (psi @ phi)
+        psi = PeriodicField(grid, psi)
+    return EigenPair(kappa, PeriodicField(grid, phi), resid, it, psi, slope)
 
 
 def _assemble_coupled(cell: CellGrid, ds, qs, J) -> sp.csr_matrix:

@@ -189,6 +189,11 @@ class BandedMatrix:
         A[n - 1, 0] += self.sup[n - 1]
         return A
 
+    def transposed(self) -> "BandedMatrix":
+        """Return A^T: row j holds sup[j-1] and sub[j+1], gathered."""
+        nxt, prv = _wrap(self.n)
+        return BandedMatrix(self.sup[prv], self.main, self.sub[nxt])
+
     def shifted_from(self, sigma: float) -> "BandedMatrix":
         """Return sigma*I - A."""
         return BandedMatrix(-self.sub, sigma - self.main, -self.sup)

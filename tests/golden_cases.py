@@ -107,6 +107,15 @@ def cell_models():
     return builtin_models(make_cell_grid(1.0, 64))
 
 
+@functools.cache
+def models_at_64():
+    """Every built-in model on the 64-node cell: MODELS, the competition
+    models in cooperative form and chain-m at m = 6."""
+    cell = make_cell_grid(1.0, 64)
+    return [make_model(name, cell, **kw) for name, kw in MODELS] \
+        + [m for m in cell_models() if m.cell.n == 64]
+
+
 def spectral_models():
     """The built-in models that have a critical speed (the seeded dense
     model has kappa_1(0) <= 0)."""

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from perifront import (Dispersion, boundary_speeds_A6, make_cell_grid,
-                       make_model)
+from golden_cases import models_at_64
+from perifront import (Dispersion, assemble_tilted_operator,
+                       boundary_speeds_A6, make_cell_grid, make_model,
+                       principal_eig_scalar)
 from perifront.errors import PerifrontError, SpectralGapError
 from perifront.models import PolyH, ReactionModel
 
@@ -62,8 +67,15 @@ class TestCriticalSpeed:
     def test_tangency_identities(self):
         disp = Dispersion(make_model("periodic2"))
         c0, lam0 = disp.critical_speed()
-        assert abs(disp.kappa(0, lam0) - c0 * lam0) <= 1e-8
-        assert abs(disp.kappa1_prime(lam0, 1e-4 * max(1.0, lam0)) - c0) <= 1e-6
+        assert abs(disp.kappa(0, lam0) - c0 * lam0) <= 1e-12
+        assert abs(disp.kappa1_prime(lam0) - c0) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["constant2", "chain-m"])
+    def test_closed_form(self, name):
+        # kappa_1 = lam^2 + 1 exactly on the grid: c_+0 = 2 at lam_+0 = 1
+        c0, lam0 = Dispersion(make_model(name)).critical_speed()
+        assert abs(lam0 - 1.0) <= 1e-11
+        assert abs(c0 - 2.0) <= 1e-12
 
     def test_h4_failure(self):
         disp = Dispersion(two_component(make_cell_grid(1.0, 64), zeta1=-0.1))
@@ -160,19 +172,50 @@ class TestDerivative:
     def test_constant_model(self):
         disp = Dispersion(two_component(make_cell_grid(1.0, 64)))
         der = disp.cascade_derivative(1.0)
-        assert der.kappa1_prime == pytest.approx(2.0, abs=1e-6)
+        assert der.kappa1_prime == pytest.approx(2.0, abs=1e-11)
         assert np.max(np.abs(der.as_array())) < 1e-7
 
     def test_tangency_slope(self):
         disp = Dispersion(make_model("periodic2"))
         c0, lam0 = disp.critical_speed()
         der = disp.cascade_derivative(lam0)
-        assert abs(der.kappa1_prime - c0) <= 1e-6
+        assert abs(der.kappa1_prime - c0) <= 1e-11
 
     def test_richardson_consistency(self):
         disp = Dispersion(make_model("periodic2"))
         der = disp.cascade_derivative(0.9)
         assert der.richardson_defect <= 1e-4
+
+
+class TestExactSlope:
+    @pytest.mark.parametrize("model", models_at_64(),
+                             ids=lambda m: f"{m.name}-m{m.m}")
+    def test_left_vector_and_slope_match_dense_eig(self, model):
+        """psi, phi and kappa' against scipy.linalg.eig's left and right
+        vectors and a dA/dlam that does not use the slope's formula: the
+        entries are at most quadratic in lam, so a central difference of
+        step 1/2 is exact up to roundoff."""
+        disp = Dispersion(model)
+        for i in range(model.m):
+            for lam in (0.0, 0.6, 1.3):
+                spec = disp._component_spec(i, lam)
+                pair = principal_eig_scalar(spec, left=True)
+                dense = lambda l: assemble_tilted_operator(
+                    dataclasses.replace(spec, lam=l)).to_dense()
+                A = dense(lam)
+                w, vl, vr = scipy.linalg.eig(A, left=True, right=True)
+                k = np.argmax(w.real)
+                phi = vr[:, k].real / vr[:, k].real.mean()
+                psi = vl[:, k].real / vl[:, k].real.mean()
+                dA = dense(lam + 0.5) - dense(lam - 0.5)
+                slope = psi @ dA @ phi / (psi @ phi)
+                scale = max(1.0, abs(pair.value))
+                assert np.abs(pair.vector.values - phi).max() <= 1e-10
+                assert np.abs(pair.left.values - psi).max() <= 1e-10
+                assert pair.left.min() > 0.0
+                assert np.abs(A.T @ pair.left.values - pair.value
+                              * pair.left.values).max() <= 1e-10 * scale
+                assert abs(pair.slope - slope) <= 1e-10 * max(1.0, abs(slope))
 
 
 class TestLinearizedFront:

@@ -505,18 +505,20 @@ def test_zero_matrix_still_raises():
 
 
 # ---------------------------------------------------------------------------
-# one bracket-then-minimise routine
+# one tangency root routine
 
 
 def test_bracket_keeps_each_callers_guard_message():
-    falling = lambda lam: -lam
-    for tol, message in ((1e-8, "no ratio minimum found below lam = 64.0"),
-                         (1e-11, "no bracket for boundary speed")):
+    # kappa = 1 + lam: lam kappa' - kappa = -1 never changes sign
+    line = lambda lam: (1.0 + lam, 1.0)
+    for message in ("no ratio minimum found below lam = 64.0",
+                    "no bracket for boundary speed"):
         with pytest.raises(dispersion.PerifrontError, match=message):
-            dispersion.bracket_and_minimize(falling, tol, message)
-    lam, val = dispersion.bracket_and_minimize(
-        lambda lam: (lam - 3.0) ** 2 + 1.0, 1e-11, "unused")
-    assert lam == pytest.approx(3.0, abs=1e-5) and val == pytest.approx(1.0)
+            dispersion.min_ratio(line, 1.0, message)
+    # kappa = lam^2 + 9: kappa/lam is least, 6, at lam = 3
+    val, lam = dispersion.min_ratio(
+        lambda lam: (lam ** 2 + 9.0, 2.0 * lam), 9.0, "unused")
+    assert abs(lam - 3.0) <= 1e-13 and abs(val - 6.0) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: each shared kernel against the inline loop it replaced
-(or, for the cyclic banded solve, a dense solve), over inputs drawn by
-hypothesis (derandomized in tests/conftest.py)."""
+(or, for the cyclic banded solve, a dense solve; for the exact dispersion
+slope, difference quotients), over inputs drawn by hypothesis
+(derandomized in tests/conftest.py)."""
 
 import io
 from unittest import mock
@@ -9,23 +10,21 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import perifront.sim as sim
-from perifront.dispersion import bisect
+from perifront.dispersion import Dispersion, bisect, bracketed_root
 from perifront.grid import (BandedMatrix, PeriodicField, first_derivative,
                             make_cell_grid)
+from golden_cases import models_at_64
 
 bounds = st.floats(-1e6, 1e6)
 
 
 @given(threshold=bounds, lo=bounds, hi=bounds,
-       steps=st.integers(0, 120),
-       rtol=st.one_of(st.sampled_from([0.0, 1e-13, 1e-12]),
-                      st.floats(0.0, 0.5)),
-       strict=st.booleans())
-def test_bisect_matches_inline_loop(threshold, lo, hi, steps, rtol, strict):
+       steps=st.integers(0, 120), strict=st.booleans())
+def test_bisect_matches_inline_loop(threshold, lo, hi, steps, strict):
     below = ((lambda x: x < threshold) if strict
              else (lambda x: x <= threshold))
     a, b = lo, hi
@@ -35,9 +34,36 @@ def test_bisect_matches_inline_loop(threshold, lo, hi, steps, rtol, strict):
             a = mid
         else:
             b = mid
-        if b - a <= rtol * max(1.0, b):
-            break
-    assert bisect(below, lo, hi, steps, rtol) == (a, b)
+    assert bisect(below, lo, hi, steps) == (a, b)
+
+
+@given(a=st.floats(1.01, 7.0), sign=st.sampled_from([1.0, -1.0]))
+def test_bracketed_root_of_a_convex_function(a, sign):
+    """exp(x) - a on [0, 2], either sign: a float root within 1e-12 of
+    log(a), kept inside the bracket."""
+    f = lambda x: sign * (np.exp(x) - a)
+    x = bracketed_root(f, 0.0, 2.0, f(0.0), f(2.0))
+    assert type(x) is float and 0.0 <= x <= 2.0
+    assert abs(x - np.log(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", models_at_64(),
+                         ids=lambda m: f"{m.name}-m{m.m}")
+@settings(max_examples=12)
+@given(lam=st.floats(0.0, 2.5))
+def test_exact_slope_is_the_difference_quotient_limit(model, lam):
+    """kappa_1' from the Perron vectors against central differences of
+    kappa_1: their error is O(dlam^2) (the constant measured on the
+    built-in models is below 3e-3), and the Richardson extrapolate of two
+    steps agrees to 1e-8."""
+    disp = Dispersion(model)
+    exact = disp.kappa1_prime(lam)
+    quotient = lambda h: (disp.kappa(0, lam + h)
+                          - disp.kappa(0, lam - h)) / (2.0 * h)
+    q1, q2 = quotient(0.05), quotient(0.025)
+    assert abs(q1 - exact) <= 1e-2 * 0.05 ** 2
+    assert abs(q2 - exact) <= 1e-2 * 0.025 ** 2
+    assert abs((4.0 * q2 - q1) / 3.0 - exact) <= 1e-8
 
 
 @given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
@@ -105,3 +131,9 @@ def test_banded_factor_solves_dominant_cyclic_systems(corners, arrs):
     x = A.factor().solve(rhs)
     want = np.linalg.solve(A.to_dense(), rhs)
     assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@given(arrs=_vectors(3, st.floats(-1e6, 1e6)))
+def test_transposed_is_the_dense_transpose(arrs):
+    A = BandedMatrix(*arrs)
+    assert np.array_equal(A.transposed().to_dense(), A.to_dense().T)
