@@ -72,7 +72,8 @@ def bracketed_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Root of f in [lo, hi], where flo = f(lo) and fhi = f(hi) differ in
     sign, by Illinois regula falsi (the secant point replaces the end of
     its sign; an end kept twice running has its value halved).  Returns
-    the first point within ROOT_RTOL * max(1, |x|) of the one before."""
+    the first point where f is 0 or within ROOT_RTOL * max(1, |x|) of the
+    one before."""
     x, side = math.inf, 0
     for _ in range(ROOT_MAX_STEPS):
         x, last = float(hi - fhi * (hi - lo) / (fhi - flo)), x
