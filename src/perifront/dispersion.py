@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PerifrontError, SpectralGapError
 from .grid import (OperatorSpec, PeriodicField, assemble_tilted_operator,
                    solve_cyclic_banded)
-from .eigen import principal_eig_scalar
+from .eigen import principal_eig_scalar, with_left
 
 __all__ = [
     "VectorEigenfunction",
@@ -180,13 +180,18 @@ class Dispersion:
             lam=lam, e=self.e)
 
     def _pair(self, i: int, lam: float, left: bool = False):
-        """Memoized Perron pair; left=True wants psi and the slope (solved
-        again if the memo's pair lacks them)."""
+        """Memoized Perron pair; left=True wants psi and the slope (added
+        to the memo's pair if it lacks them, keeping its kappa and phi)."""
         key = (i, round(lam, 12))
         pair = self._pair_memo.get(key)
-        if pair is None or (left and pair.left is None):
-            pair = self._pair_memo[key] = principal_eig_scalar(
-                self._component_spec(i, lam), left=left)
+        if pair is None:
+            pair = principal_eig_scalar(self._component_spec(i, lam),
+                                        left=left)
+        elif left and pair.left is None:
+            pair = with_left(self._component_spec(i, lam), pair)
+        else:
+            return pair
+        self._pair_memo[key] = pair
         return pair
 
     def kappa(self, i: int, lam: float) -> float:

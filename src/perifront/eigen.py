@@ -10,7 +10,7 @@ positive eigenvector.  Deterministic start vector of ones; no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +24,7 @@ __all__ = [
     "EigenPair",
     "CoupledEigenPair",
     "principal_eig_scalar",
+    "with_left",
     "principal_eig_coupled",
     "coupled_perron",
 ]
@@ -78,35 +79,45 @@ def _inverse_power(solve, matvec, norm, sigma, v, est, tol):
         f"(last residual {resid:.3e})")
 
 
+def _perron(B: BandedMatrix, sigma: float):
+    """_inverse_power on B with shift sigma, from the ones vector."""
+    ones = np.ones(B.n)
+    return _inverse_power(
+        B.shifted_from(sigma).factor().solve, B.matvec, np.ndarray.mean,
+        sigma, ones, float(B.matvec(ones).mean()), SCALAR_TOL)
+
+
 def principal_eig_scalar(spec: OperatorSpec, left: bool = False) -> EigenPair:
     """Perron eigenpair of the assembled tilted operator.
 
     Returns (kappa, phi) with ||A phi - kappa phi||_inf <= SCALAR_TOL *
     max(1, |kappa|) and phi > 0 normalized to mean(phi) = 1 (a smooth
     normalization in lam, which the dispersion module differentiates
-    through).  left=True adds psi > 0, the same iteration on A^T, and the
-    exact slope d kappa/d lam = psi^T A' phi / psi^T phi, A' the entrywise
-    lam-derivative of A (Kato, ch. II).
+    through).  left=True adds psi and the slope, as with_left does.
     """
     A = assemble_tilted_operator(spec)
-    sigma = 1.0 + A.gershgorin_max()
-    ones = np.ones(A.n)
+    kappa, phi, resid, it = _perron(A, 1.0 + A.gershgorin_max())
+    pair = EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
+    return with_left(spec, pair, A) if left else pair
 
-    def perron(B):
-        return _inverse_power(
-            B.shifted_from(sigma).factor().solve, B.matvec, np.ndarray.mean,
-            sigma, ones, float(B.matvec(ones).mean()), SCALAR_TOL)
 
-    kappa, phi, resid, it = perron(A)
-    grid, psi, slope = spec.d.grid, None, None
-    if left:
-        psi = perron(A.transposed())[1]
-        de = spec.d.values * spec.e / grid.h
-        dA = BandedMatrix(de, 2.0 * spec.lam * spec.d.values
-                          - spec.q.values * spec.e, -de)
-        slope = psi @ dA.matvec(phi) / (psi @ phi)
-        psi = PeriodicField(grid, psi)
-    return EigenPair(kappa, PeriodicField(grid, phi), resid, it, psi, slope)
+def with_left(spec: OperatorSpec, pair: EigenPair,
+              A: BandedMatrix | None = None) -> EigenPair:
+    """pair, the right Perron pair of spec's operator A (assembled here
+    when not given), with psi > 0, the same iteration on A^T, and the
+    exact slope d kappa/d lam = psi^T A' phi / psi^T phi added, A' the
+    entrywise lam-derivative of A (Kato, ch. II).  psi does not depend on
+    phi, so the result is principal_eig_scalar(spec, left=True) bit for
+    bit without solving the right pair again."""
+    if A is None:
+        A = assemble_tilted_operator(spec)
+    psi = _perron(A.transposed(), 1.0 + A.gershgorin_max())[1]
+    phi = pair.vector.values
+    de = spec.d.values * spec.e / spec.d.grid.h
+    dA = BandedMatrix(de, 2.0 * spec.lam * spec.d.values
+                      - spec.q.values * spec.e, -de)
+    slope = psi @ dA.matvec(phi) / (psi @ phi)
+    return replace(pair, left=PeriodicField(spec.d.grid, psi), slope=slope)
 
 
 def _assemble_coupled(cell: CellGrid, ds, qs, J) -> sp.csr_matrix:

@@ -40,6 +40,7 @@ CONVERGENCE_MARGIN_CELLS = 5   # window edge cells convergence_metric skips
 DECAY_FLOOR = 1e-12    # fit_decay's smallest fitted tail value
 MIN_DECADES = 3.0      # and the decades the fitted tail must span
 LOG_DERIVATIVE_LEVEL = 1e-2    # left-tail level of log_derivative_diagnostics
+BOUND_EVERY = 64       # column stride of shift_distance's lower bounds
 
 
 def front_position(u: np.ndarray, x: np.ndarray, level: float) -> float:
@@ -177,6 +178,16 @@ def _first_longest_run(flags: np.ndarray):
     return runs[int(np.argmax(runs[:, 1] - runs[:, 0]))]
 
 
+def _bins_view(diag: np.ndarray, ns: int) -> np.ndarray:
+    """Read-only (..., n, ns) view of a (..., ns + n - 1, n) histogram
+    holding bin (r, k) at [k + r, r]: row r starts at [r, r] and steps one
+    table row per bin."""
+    *lead, step, col = diag.strides
+    shape = diag.shape[:-2] + (diag.shape[-1], ns)
+    return np.lib.stride_tricks.as_strided(
+        diag, shape, (*lead, step + col, step), writeable=False)
+
+
 def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
                     min_count: float = 5.0,
                     margin_cells: int = 3) -> FrontProfile:
@@ -194,6 +205,12 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     Transient memory is O(bins), the (cell node, s) histogram; s is
     recomputed per snapshot.  The snapshots of t_window are still read
     from traj, so the caller keeps them stored until the call returns.
+
+    Exactness: the histogram is accumulated with bin (r, k) at [k + r, r]
+    and read back through strided views, so the nodes of one cell hit
+    contiguous memory; every bin receives the same additions in the same
+    order as on an (n, ns) histogram, and the profile is the same bit for
+    bit.
     """
     window = traj.window
     cell = window.cell
@@ -203,14 +220,14 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     trim = slice(margin_cells * n, window.npts - margin_cells * n)
     xw = window.x[trim]
     xidx_w = window.xidx[trim]
-    m = traj.snapshots[0].shape[0]
 
-    if t_window is None:
+    if t_window is None and traj.times:
         t_window = (traj.times[0], traj.times[-1])
     sel = [(t, u[:, trim]) for t, u in zip(traj.times, traj.snapshots)
            if t_window[0] <= t <= t_window[1]]
     if not sel:
         raise FrontError("no snapshots in the requested time window")
+    m = sel[0][1].shape[0]
 
     # fl(c t - x) is monotone in x, so the window's end nodes carry every
     # snapshot's extreme s
@@ -218,17 +235,24 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     smax = max(c * t - float(xw[0]) for t, _ in sel)
     k0 = math.floor(smin / h) - 1
     ns = math.ceil(smax / h) - k0 + 2
-    sums = np.zeros((m, n, ns))
-    counts = np.zeros((n, ns))
+    # bin (r, k) accumulates at [k + r, r], the layout of _diagonal_table:
+    # one snapshot's nodes of a cell land on one contiguous row, and every
+    # bin receives the same additions in the same order as on an (n, ns)
+    # histogram
+    sums_d = np.zeros((m, ns + n - 1, n))
+    counts_d = np.zeros((ns + n - 1, n))
+    diag = xidx_w * (n + 1)
     for t, u in sel:
         pos = (c * t - xw) / h - k0
         kf = np.floor(pos).astype(int)
         wr = pos - kf
-        for kk, ww in ((kf, 1.0 - wr), (kf + 1, wr)):
-            flat = xidx_w * ns + kk
-            np.add.at(counts.ravel(), flat, ww)
+        flat = kf * n + diag           # bin kf + 1 sits one row, n, further
+        for at, ww in ((flat, 1.0 - wr), (flat + n, wr)):
+            np.add.at(counts_d.ravel(), at, ww)
             for i in range(m):
-                np.add.at(sums[i].ravel(), flat, ww * u[i])
+                np.add.at(sums_d[i].ravel(), at, ww * u[i])
+    counts = _bins_view(counts_d, ns)
+    sums = _bins_view(sums_d, ns)
 
     # a column is trusted when every cell row meets the occupancy threshold
     full = (counts >= min_count).all(axis=0)
@@ -238,10 +262,10 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
     lo, hi = int(good[0]), int(good[-1])
 
     occ = counts[:, lo:hi + 1].copy()
-    del counts
+    del counts, counts_d
     with np.errstate(invalid="ignore"):
         U = sums[:, :, lo:hi + 1] / np.maximum(occ, 1e-300)[None, :, :]
-    del sums
+    del sums, sums_d
     s_axis = (np.arange(lo, hi + 1) + k0) * h
 
     # trusted columns: no interpolation needed AND uniformly covered in
@@ -346,6 +370,19 @@ def _check_same_lattice(h_a: float, h_b: float) -> None:
             "both sides on one lattice")
 
 
+def _check_same_cell(a: str, cell_a, m_a: int, b: str, cell_b, m_b: int):
+    """Raise FrontError unless sides a and b sit on one cell (L, n) with one
+    number of components m; rows and components are compared index by
+    index, so a mismatch would otherwise broadcast or misalign silently."""
+    if cell_a.n != cell_b.n or abs(cell_a.L - cell_b.L) > 1e-9 * cell_b.L:
+        raise FrontError(
+            f"cells differ ({a}: L={cell_a.L:.17g}, n={cell_a.n}; {b}: "
+            f"L={cell_b.L:.17g}, n={cell_b.n}): both sides need one cell")
+    if m_a != m_b:
+        raise FrontError(
+            f"component counts differ ({a}: m={m_a}; {b}: m={m_b})")
+
+
 def _sup_dist_shifted(U: FrontProfile, V: FrontProfile, z: float) -> float:
     """sup |U(x, s + z) - V(x, s)| over V's s-range intersected with the
     shifted range of U.
@@ -353,6 +390,15 @@ def _sup_dist_shifted(U: FrontProfile, V: FrontProfile, z: float) -> float:
     V.s and U.s share the spacing h, so every column of V lands at the
     same fractional bin position in U: one integer offset and one
     interpolation weight serve all rows and components (one stencil)."""
+    return _sup_dist_columns(U, V, z, 1)
+
+
+def _sup_dist_columns(U: FrontProfile, V: FrontProfile, z: float,
+                      every: int) -> float:
+    """_sup_dist_shifted over every every-th overlapping column.  The
+    stencil (ja, k, frac) and the arithmetic are those of every = 1, so
+    each value it takes is one of the full sup's and it never exceeds
+    it: a lower bound for every > 1."""
     s = V.s
     inside = np.nonzero((s + z >= U.s[0]) & (s + z <= U.s[-1]))[0]
     if len(inside) < 4:
@@ -367,24 +413,53 @@ def _sup_dist_shifted(U: FrontProfile, V: FrontProfile, z: float) -> float:
         k, frac = 0, 0.0
     if frac > 0.0 and k + cnt >= len(U.s):
         frac = 0.0
-    diff = U.U[:, :, k:k + cnt] * (1.0 - frac)
+    diff = U.U[:, :, k:k + cnt:every] * (1.0 - frac)
     if frac > 0.0:
-        diff += U.U[:, :, k + 1:k + cnt + 1] * frac
-    diff -= V.U[:, :, ja:ja + cnt]
+        diff += U.U[:, :, k + 1:k + cnt + 1:every] * frac
+    diff -= V.U[:, :, ja:ja + cnt:every]
     return float(np.nanmax(np.abs(diff, out=diff)))
+
+
+def _grid_argmin(U: FrontProfile, V: FrontProfile, zs: np.ndarray) -> int:
+    """np.argmin of _sup_dist_shifted over zs (the first index among ties),
+    evaluating the full sup only where it can win: shifts are visited in
+    ascending order of their BOUND_EVERY-column lower bounds, and the scan
+    stops at the first bound above the best full value, which no later
+    shift can beat or tie.  With a NaN in either profile every shift is
+    evaluated in full, as a bound over all-NaN columns would warn."""
+    if np.isnan(U.U).any() or np.isnan(V.U).any():
+        return int(np.argmin([_sup_dist_shifted(U, V, z) for z in zs]))
+    bounds = [_sup_dist_columns(U, V, z, BOUND_EVERY) for z in zs]
+    best, arg = math.inf, None
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > best:
+            break
+        d = _sup_dist_shifted(U, V, zs[i])
+        if arg is None or d < best or (d == best and i < arg):
+            best, arg = d, int(i)
+    return arg
 
 
 def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
                    rho_U: float | None = None, rho_V: float | None = None,
                    bracket: float = 20.0) -> ShiftResult:
     """Best translation matching U(., . + z) to V, with the tail-amplitude
-    prediction z_pred = log(rho_V/rho_U)/lam_c when the fits are supplied."""
+    prediction z_pred = log(rho_V/rho_U)/lam_c when the fits are supplied.
+
+    The sup distance is minimized over shifts 4h apart in [-bracket,
+    bracket], then polished by golden-section search within 8h of the
+    best.  Exactness: the grid's best shift is the first argmin of a scan
+    of every shift, bit for bit, but only shifts whose lower bound can
+    still win are evaluated in full (_grid_argmin).
+
+    Raises FrontError when U and V were extracted at different speeds or
+    sit on different lattices, cells or component counts."""
     if abs(U.c - V.c) > 1e-9:
         raise FrontError("profiles extracted at different speeds")
     _check_same_lattice(U.h_s, V.h_s)
+    _check_same_cell("U", U.cell, U.m, "V", V.cell, V.m)
     zs = np.arange(-bracket, bracket + 1e-9, 4.0 * U.h_s)
-    vals = [_sup_dist_shifted(U, V, z) for z in zs]
-    zbest = zs[int(np.argmin(vals))]
+    zbest = zs[_grid_argmin(U, V, zs)]
     z0, dist = golden_section_min(
         lambda z: _sup_dist_shifted(U, V, z),
         zbest - 8.0 * U.h_s, zbest + 8.0 * U.h_s, tol=1e-6)
@@ -421,6 +496,9 @@ def convergence_metric(traj, profile: FrontProfile,
     estimates the front's asymptotic phase.  Besides the snapshots it reads
     from traj, its transient memory is O(bins): one padded copy of the
     profile's U and the scan over 25 trial shifts of one snapshot.
+
+    Raises FrontError when the profile and the window differ in lattice
+    spacing, cell or component count.
     """
     window = traj.window
     n = window.cell.n
@@ -429,6 +507,8 @@ def convergence_metric(traj, profile: FrontProfile,
     h = profile.h_s
     ns = len(profile.s)
     _check_same_lattice(h, window.h)
+    _check_same_cell("profile", profile.cell, profile.m, "window",
+                     window.cell, traj.m if traj.snapshots else profile.m)
     # window and profile share the h-lattice: node j = q n + r of the
     # scanned range sits at bin position A - j of row r, with A = (c t +
     # shift - x_0 - s_0)/h, so one weight per (snapshot, shift) serves

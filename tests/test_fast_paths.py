@@ -27,6 +27,7 @@ import math
 import multiprocessing
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ import golden
 import golden_cases
 import perifront.certify as certify
 import perifront.dispersion as dispersion
+import perifront.eigen as eigen
 import perifront.fronts as fronts
 import perifront.models as models
 import perifront.sim as sim
@@ -303,6 +305,33 @@ def test_kappa_solves_once_per_key(monkeypatch):
     assert disp.kappa(0, 0.5) == disp._pair(0, 0.5).value
 
 
+def test_left_pair_reuses_the_memoized_right_pair(monkeypatch):
+    # cascade memoizes right pairs of components 1 and 2; kappa1_prime
+    # then adds psi to component 1's pair instead of solving it again
+    model = make_model("periodic2")
+    probe = Dispersion(model)
+    lam = probe.lambda_c(1.25 * probe.critical_speed()[0])
+    loops = []
+    real = eigen._inverse_power
+
+    def counting(*args):
+        loops.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(eigen, "_inverse_power", counting)
+    disp = Dispersion(model)
+    disp.cascade(lam)
+    disp.kappa1_prime(lam)
+    assert len(loops) == 3
+    monkeypatch.undo()
+    got = disp._pair(0, lam)
+    want = principal_eig_scalar(disp._component_spec(0, lam), left=True)
+    assert got.value == want.value and got.slope == want.slope
+    assert np.array_equal(got.vector.values, want.vector.values)
+    assert np.array_equal(got.left.values, want.left.values)
+    assert (got.residual, got.iterations) == (want.residual, want.iterations)
+
+
 # ---------------------------------------------------------------------------
 # grouped implicit solves
 
@@ -404,6 +433,91 @@ def test_shift_distance_matches_reference(profiles, kind, bracket,
     # the raw profiles keep the runs' offsets, the anchored ones align them
     want_z = 1.3 if kind == "raw" else 0.0
     assert got.z0_est == pytest.approx(want_z, abs=CELL.h)
+
+
+def ref_shift_distance(U, V, bracket=20.0):
+    """shift_distance with the grid scanned in full: the argmin of every
+    grid shift's sup distance, then the golden-section polish."""
+    zs = np.arange(-bracket, bracket + 1e-9, 4.0 * U.h_s)
+    vals = [fronts._sup_dist_shifted(U, V, z) for z in zs]
+    zbest = zs[int(np.argmin(vals))]
+    z0, dist = dispersion.golden_section_min(
+        lambda z: fronts._sup_dist_shifted(U, V, z),
+        zbest - 8.0 * U.h_s, zbest + 8.0 * U.h_s, tol=1e-6)
+    return fronts.ShiftResult(float(z0), float(dist))
+
+
+def profile_of(U, s):
+    """A FrontProfile on CELL with values U (m, n, len(s)) on the s-grid."""
+    return fronts.FrontProfile(C, CELL, s, U, np.ones(U.shape[1:]), 0.0)
+
+
+def assert_pruned_scan_is_exact(U, V, bracket=20.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shift_distance(U, V, bracket=bracket)
+        want = ref_shift_distance(U, V, bracket)
+    # bit for bit: the same floats, NaN and inf included
+    assert np.array_equal([got.z0_est, got.sup_dist],
+                          [want.z0_est, want.sup_dist], equal_nan=True)
+    assert got.z_pred is None
+    return got
+
+
+@pytest.mark.parametrize("kind", ["raw", "anchored"])
+@pytest.mark.parametrize("bracket", [20.0, 70.0])
+def test_pruned_shift_grid_matches_full_scan(profiles, kind, bracket):
+    U, V = profiles[f"{kind}_a"], profiles[f"{kind}_b"]
+    assert_pruned_scan_is_exact(U, V, bracket)
+    assert_pruned_scan_is_exact(U, U, bracket)
+
+
+def test_pruned_shift_grid_keeps_the_first_of_a_tie():
+    # V = 0, so a shift's distance is the max of U over the columns it
+    # covers; U is low on exactly the windows of grid shifts i1 and i1 + 1
+    # (4 columns apart), and both reach D, i1 at a column its bound
+    # samples, i1 + 1 only between them.  The bound ranks i1 + 1 first;
+    # the scan must still evaluate i1 and keep it
+    h, nv, D = CELL.h, 600, 0.25
+    V = profile_of(np.zeros((1, 2, nv)), np.arange(nv) * h)
+    nu = nv + 1000
+    U_vals = np.ones((1, 2, nu))
+    a = 640                                  # shift a h = 20: grid index 320
+    U_vals[:, :, a:a + nv + 4] = 0.0
+    U_vals[:, 1, a] = D                      # i1's first column
+    U_vals[:, 0, a + 5] = D                  # off i1 + 1's sampled columns
+    U = profile_of(U_vals, np.arange(nu) * h)
+    zs = np.arange(-30.0, 30.0 + 1e-9, 4.0 * h)
+    i1 = int(np.flatnonzero(zs == a * h)[0])
+    full = [fronts._sup_dist_shifted(U, V, z) for z in zs]
+    bounds = [fronts._sup_dist_columns(U, V, z, fronts.BOUND_EVERY)
+              for z in zs]
+    assert full[i1] == full[i1 + 1] == min(full) == D
+    assert sorted(np.flatnonzero(np.asarray(full) == D)) == [i1, i1 + 1]
+    assert bounds[i1] == D and bounds[i1 + 1] == 0.0
+    assert fronts._grid_argmin(U, V, zs) == i1
+    assert_pruned_scan_is_exact(U, V, bracket=30.0)
+
+
+def test_pruned_shift_grid_with_nan_columns(profiles):
+    U, V = profiles["raw_a"], profiles["raw_b"]
+    U_nan = U.U.copy()
+    U_nan[:, :, 300:340] = np.nan
+    V_nan = V.U.copy()
+    V_nan[:, 3, 500:510] = np.nan
+    U = fronts.FrontProfile(U.c, U.cell, U.s, U_nan, U.occupancy, 0.0)
+    V = fronts.FrontProfile(V.c, V.cell, V.s, V_nan, V.occupancy, 0.0)
+    got = assert_pruned_scan_is_exact(U, V)
+    assert got.z0_est == pytest.approx(1.3, abs=CELL.h)
+
+
+def test_pruned_shift_grid_without_overlap(profiles):
+    # V lies 1000 past U: no shift of the bracket overlaps 4 columns
+    U = profiles["raw_a"]
+    V = fronts.FrontProfile(U.c, U.cell, U.s + 1000.0, U.U, U.occupancy,
+                            0.0)
+    got = assert_pruned_scan_is_exact(U, V)
+    assert got.sup_dist == np.inf
 
 
 def test_shift_distance_rejects_other_lattice(profiles):

@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from perifront import (Dispersion, FrontProfile, SimState, Trajectory,
-                       WindowGrid, component_ratio_bound, convergence_metric,
-                       extract_profile, fit_decay, front_position,
-                       log_derivative_diagnostics, make_cell_grid, make_model,
-                       measure_speed, shift_distance)
+from perifront import (Dispersion, FrontProfile, SimState, StepperConfig,
+                       Trajectory, WindowGrid, component_ratio_bound,
+                       convergence_metric, extract_profile, fit_decay,
+                       front_position, log_derivative_diagnostics,
+                       make_cell_grid, make_model, measure_speed, run,
+                       shift_distance)
 from perifront.errors import FrontError
 from perifront.fronts import _first_longest_run
 
@@ -45,6 +46,25 @@ class TestFrontPosition:
         x = np.linspace(0, 1, 50)
         with pytest.raises(FrontError, match="crossing"):
             front_position(np.full(50, 0.2), x, 0.5)
+
+
+HALF_CELL = make_cell_grid(0.5, 32)     # CELL's spacing h on half its length
+
+
+def on_cell(prof, cell):
+    """prof's first cell.n rows, relabelled as a profile on cell."""
+    return FrontProfile(prof.c, cell, prof.s, prof.U[:, :cell.n],
+                        prof.occupancy[:cell.n], prof.monotonicity_defect)
+
+
+def travelling_traj(window, m=2, c=2.5, offset=3.0):
+    """Eleven snapshots of a logistic front moving at speed c, with m
+    identical components."""
+    traj = Trajectory(window)
+    for t in np.linspace(0.0, 2.0, 11):
+        row = 1.0 / (1.0 + np.exp(-(c * t - window.x + offset)))
+        traj.append(SimState(t, np.stack([row] * m)))
+    return traj
 
 
 class FakeWindowTraj:
@@ -121,6 +141,22 @@ class TestExtractProfile:
         prof = extract_profile(traj, c, anchor=True, min_count=3)
         val = prof.eval(np.array([0]), np.array([0.0]))
         assert val[0, 0] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("t_window", [None, (0.0, 1.0)])
+    def test_run_storing_no_snapshot_raises(self, t_window):
+        # store_from > T keeps no snapshot; reading the first one used to
+        # raise IndexError before the time-window check
+        model = make_model("constant2", make_cell_grid(1.0, 16))
+        window = WindowGrid(model.cell, 20)
+        u0 = np.zeros((2, window.npts))
+        u0[:, :window.npts // 2] = 1.0
+        traj = run(model, SimState(0.0, u0), window,
+                   StepperConfig(dt=0.01, snapshot_dt=0.1), 0.3,
+                   store_from=1.0)
+        assert traj.snapshots == []
+        with pytest.raises(FrontError, match="no snapshots in the requested "
+                           "time window"):
+            extract_profile(traj, 2.5, t_window=t_window)
 
 
 def ref_first_longest_run(flags):
@@ -211,6 +247,22 @@ class TestShiftDistance:
         with pytest.raises(FrontError):
             shift_distance(U, V)
 
+    def test_other_cell_raises(self):
+        # one spacing h, half the cell: the rows no longer pair up
+        U = synthetic_profile(lambda s: 1.0 / (1.0 + np.exp(-s)))
+        V = on_cell(U, HALF_CELL)
+        with pytest.raises(FrontError, match=r"cells differ \(U: L=1, "
+                           r"n=64; V: L=0.5, n=32\)"):
+            shift_distance(U, V)
+
+    def test_other_component_count_raises(self):
+        f = lambda s: 1.0 / (1.0 + np.exp(-s))
+        U = synthetic_profile(f, f)
+        V = synthetic_profile(lambda s: f(s + 1.0))
+        with pytest.raises(FrontError, match=r"component counts differ "
+                           r"\(U: m=2; V: m=1\)"):
+            shift_distance(U, V)
+
 
 class TestLogDerivative:
     def test_pure_exponential(self):
@@ -270,3 +322,21 @@ class TestConvergenceMetric:
         ts, shifts, dists = convergence_metric(traj, prof)
         assert np.max(dists) <= 1e-4
         assert np.allclose(shifts, 3.0, atol=1e-3)
+
+    def test_other_cell_raises(self):
+        # a profile of twice the window's cell at the same h used to give
+        # a series (distances 0.9) without error
+        V1 = lambda s: 1.0 / (1.0 + np.exp(-s))
+        prof = synthetic_profile(V1, V1, s_lo=-40.0, s_hi=40.0)
+        traj = travelling_traj(WindowGrid(HALF_CELL, 60))
+        with pytest.raises(FrontError, match=r"cells differ \(profile: "
+                           r"L=1, n=64; window: L=0.5, n=32\)"):
+            convergence_metric(traj, prof)
+
+    def test_other_component_count_raises(self):
+        V1 = lambda s: 1.0 / (1.0 + np.exp(-s))
+        prof = synthetic_profile(V1, V1, s_lo=-40.0, s_hi=40.0)
+        traj = travelling_traj(WindowGrid(CELL, 30), m=1)
+        with pytest.raises(FrontError, match=r"component counts differ "
+                           r"\(profile: m=2; window: m=1\)"):
+            convergence_metric(traj, prof)
