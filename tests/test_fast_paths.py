@@ -8,7 +8,9 @@ Jacobian row over the components it reads, so they must give the full
 lattice's extrema exactly (the H3 witness included).  The one-stencil
 profile shifts take one interpolation weight per shift where the per-row
 loop recomputed it per column, so shift_distance may differ from it by
-roundoff only.
+roundoff only.  The pruned shift grid skips shifts whose lower bound
+cannot win, so shift_distance must return the full scan's ShiftResult
+bit for bit.
 
 Where a fast path replaced an earlier version of itself (the factored cell
 solves, the grouped implicit steps, the block CSV writers, the shared
