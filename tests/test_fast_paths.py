@@ -484,7 +484,7 @@ def test_pruned_shift_grid_keeps_the_first_of_a_tie():
     V = profile_of(np.zeros((1, 2, nv)), np.arange(nv) * h)
     nu = nv + 1000
     U_vals = np.ones((1, 2, nu))
-    a = 640                                  # shift a h = 20: grid index 320
+    a = 640                                  # shift a h = 20: grid index 400
     U_vals[:, :, a:a + nv + 4] = 0.0
     U_vals[:, 1, a] = D                      # i1's first column
     U_vals[:, 0, a + 5] = D                  # off i1 + 1's sampled columns
