@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import PerifrontError, SpectralGapError
 from .grid import (OperatorSpec, PeriodicField, assemble_tilted_operator,
-                   solve_cyclic_banded)
+                   solve_cyclic_banded, tilted_operator_derivative)
 from .eigen import principal_eig_scalar, with_left
 
 __all__ = [
@@ -47,7 +47,6 @@ ROOT_RTOL = 1e-13          # bracketed_root's step tolerance, times max(1, |x|)
 ROOT_MAX_STEPS = 200
 GAP_FLOOR = 1e-8           # least curve gap the cascade accepts
 CASCADE_RESID_TOL = 1e-8   # cascade residual bound, times max(1, max phi_j)
-RICHARDSON_TOL = 1e-4      # step-halving defect bound of dPhi/dlam
 
 
 def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
@@ -152,7 +151,6 @@ class EigenfunctionDerivative:
     lam: float
     components: tuple          # m PeriodicFields, unconstrained sign
     kappa1_prime: float
-    richardson_defect: float
 
     def as_array(self) -> np.ndarray:
         return np.stack([c.values for c in self.components])
@@ -296,26 +294,32 @@ class Dispersion:
         return out
 
     def cascade_derivative(self, lam: float) -> EigenfunctionDerivative:
-        """d/dlam of Phi_lam by central differences, with a step-halving
-        consistency check instead of solving the rank-deficient identity."""
-        dlam = 1e-4 * max(1.0, abs(lam))
-        cell = self.model.cell
-
-        def stack(l):
-            return self.cascade(l).as_array()
-
-        der = (stack(lam + dlam) - stack(lam - dlam)) / (2.0 * dlam)
-        der_half = (stack(lam + dlam / 2) - stack(lam - dlam / 2)) / dlam
-        scale = max(1.0, float(np.max(np.abs(der))))
-        defect = float(np.max(np.abs(der - der_half))) / scale
-        if defect > RICHARDSON_TOL:
-            raise PerifrontError(
-                f"lambda-derivative not Richardson-consistent "
-                f"(defect {defect:.3e} at dlam = {dlam:.3g})")
+        """d/dlam of Phi_lam, exact for the assembled matrices: the cascade
+        identity differentiated, S_j phi_j' = (A_j' - kappa_1') phi_j +
+        sum_{k<j} a_jk phi_k' with S_j = kappa_1 I - A_j.  S_1 is singular
+        on phi_1, and mean(phi_1') = 0 (mean(phi_1) = 1 at every lam)."""
+        model = self.model
+        phi = self.cascade(lam)
         kprime = self.kappa1_prime(lam)
+        ders = []
+        for j, phi_j in enumerate(phi.as_array()):
+            spec = self._component_spec(j, lam)
+            rhs = (tilted_operator_derivative(spec).matvec(phi_j)
+                   - kprime * phi_j)
+            for k in range(j):
+                a_jk = model.coupling(j, k)
+                if a_jk is not None:
+                    rhs += a_jk * ders[k]
+            S = assemble_tilted_operator(spec).shifted_from(phi.kappa)
+            if j:
+                ders.append(solve_cyclic_banded(S, rhs))
+            else:       # [[S_1, phi_1], [1^T, 0]] [phi_1'; mu] = [rhs; 0]
+                ders.append(np.linalg.solve(
+                    np.block([[S.to_dense(), phi_j[:, None]],
+                              [np.ones((1, len(rhs))), 0.0]]),
+                    np.append(rhs, 0.0))[:-1])
         return EigenfunctionDerivative(
-            lam, tuple(PeriodicField(cell, der[i]) for i in range(len(der))),
-            kprime, defect)
+            lam, tuple(PeriodicField(model.cell, v) for v in ders), kprime)
 
     def epsilon_rule(self, c: float) -> float:
         """Tail-perturbation exponent for the supercritical subsolution:

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ReducibleCouplingError
 from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
-                   assemble_tilted_operator)
+                   assemble_tilted_operator, tilted_operator_derivative)
 
 __all__ = [
     "EigenPair",
@@ -105,18 +105,15 @@ def with_left(spec: OperatorSpec, pair: EigenPair,
               A: BandedMatrix | None = None) -> EigenPair:
     """pair, the right Perron pair of spec's operator A (assembled here
     when not given), with psi > 0, the same iteration on A^T, and the
-    exact slope d kappa/d lam = psi^T A' phi / psi^T phi added, A' the
-    entrywise lam-derivative of A (Kato, ch. II).  psi does not depend on
-    phi, so the result is principal_eig_scalar(spec, left=True) bit for
-    bit without solving the right pair again."""
+    exact slope d kappa/d lam = psi^T A' phi / psi^T phi added, A' =
+    tilted_operator_derivative(spec) (Kato, ch. II).  psi does not depend
+    on phi, so the result is principal_eig_scalar(spec, left=True) bit
+    for bit without solving the right pair again."""
     if A is None:
         A = assemble_tilted_operator(spec)
     psi = _perron(A.transposed(), 1.0 + A.gershgorin_max())[1]
     phi = pair.vector.values
-    de = spec.d.values * spec.e / spec.d.grid.h
-    dA = BandedMatrix(de, 2.0 * spec.lam * spec.d.values
-                      - spec.q.values * spec.e, -de)
-    slope = psi @ dA.matvec(phi) / (psi @ phi)
+    slope = psi @ tilted_operator_derivative(spec).matvec(phi) / (psi @ phi)
     return replace(pair, left=PeriodicField(spec.d.grid, psi), slope=slope)
 
 

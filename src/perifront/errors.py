@@ -13,6 +13,10 @@ class GridError(PerifrontError):
     """Invalid grid construction (non-positive length, too few points)."""
 
 
+class FieldSpecError(GridError):
+    """A field spec is none of the forms PeriodicField.from_spec reads."""
+
+
 class MetzlerError(PerifrontError):
     """Central differencing would produce negative off-diagonal entries.
 

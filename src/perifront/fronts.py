@@ -93,7 +93,7 @@ class FrontProfile:
     c: float
     cell: object
     s: np.ndarray              # (ns,) bin centers, spacing h
-    U: np.ndarray              # (m, n_cell, ns); NaN where unobserved
+    U: np.ndarray              # (m, n_cell, ns); NaN only if user-built
     occupancy: np.ndarray      # (n_cell, ns)
     monotonicity_defect: float
     s_solid: tuple = None      # s-range where every row met the threshold
@@ -285,9 +285,8 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
         ok = occ[r] >= min_count
         if ok.all():
             continue
-        good_s = s_axis[ok]
-        gaps = np.diff(good_s)
-        if not ok[0] or not ok[-1] or (len(gaps) and gaps.max() > max_gap):
+        good_s = s_axis[ok]     # columns lo and hi are full in every row
+        if np.diff(good_s).max() > max_gap:
             raise FrontError(
                 "insufficient occupancy: holes inside the s-grid exceed "
                 f"{MAX_GAP_CELLS} cell length(s)")

@@ -24,12 +24,15 @@ per-call slicing and copying.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import GridError, MetzlerError, SingularSystemError
+from .errors import (FieldSpecError, GridError, MetzlerError,
+                     SingularSystemError)
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
@@ -41,11 +44,21 @@ __all__ = [
     "BandedFactor",
     "make_cell_grid",
     "assemble_tilted_operator",
+    "tilted_operator_derivative",
     "solve_cyclic_banded",
     "first_derivative",
 ]
 
 MIN_CELL_NODES = 16    # the coarsest cell grid CellGrid accepts
+
+
+def _is_number(val) -> bool:
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+def _is_integer(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
 
 
 @dataclass(frozen=True)
@@ -116,24 +129,27 @@ class PeriodicField:
     def from_spec(cls, grid: CellGrid, spec) -> "PeriodicField":
         """Build a field from a config fragment.
 
-        Accepted forms: a plain number, {"const": v},
-        {"cosine": {"mean": m, "amp": a, "harmonics": k, "phase": p}},
-        {"csv": path}.
+        Accepted forms: a finite real number v (not a bool), {"const": v},
+        {"cosine": {"mean": m, "amp": a, "harmonics": k, "phase": p}} with
+        k an integer, {"csv": path}; anything else raises FieldSpecError.
         """
-        if isinstance(spec, (int, float)):
-            return cls.constant(grid, spec)
-        if "const" in spec:
-            return cls.constant(grid, spec["const"])
-        if "cosine" in spec:
-            c = spec["cosine"]
+        form, c = (next(iter(spec.items())) if isinstance(spec, dict)
+                   and len(spec) == 1 else ("const", spec))
+        if form == "const" and _is_number(c):
+            return cls.constant(grid, c)
+        if form == "csv" and isinstance(c, str):
+            return cls.from_csv(grid, c)
+        if (form == "cosine" and isinstance(c, dict) and {"mean", "amp"}
+                <= c.keys() <= {"mean", "amp", "harmonics", "phase"}
+                and all(map(_is_number, c.values()))
+                and _is_integer(c.get("harmonics", 1))):
             k = int(c.get("harmonics", 1))
             phase = float(c.get("phase", 0.0))
             vals = c["mean"] + c["amp"] * np.cos(
                 2.0 * np.pi * k * grid.x / grid.L + phase)
             return cls(grid, vals)
-        if "csv" in spec:
-            return cls.from_csv(grid, spec["csv"])
-        raise GridError(f"unrecognized field spec: {spec!r}")
+        raise FieldSpecError("must be a number or a const, cosine or csv "
+                             f"field spec, got {spec!r}")
 
     def min(self) -> float:
         return float(self.values.min())
@@ -250,6 +266,13 @@ def assemble_tilted_operator(spec: OperatorSpec) -> BandedMatrix:
         )
     main = -2.0 * d / h**2 + c
     return BandedMatrix(sub, main, sup)
+
+
+def tilted_operator_derivative(spec: OperatorSpec) -> BandedMatrix:
+    """Entrywise lam-derivative A' of assemble_tilted_operator(spec)."""
+    de = spec.d.values * spec.e / spec.d.grid.h
+    return BandedMatrix(de, 2.0 * spec.lam * spec.d.values
+                        - spec.q.values * spec.e, -de)
 
 
 class BandedFactor:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridError, PerifrontError
+from .errors import ConfigError, FieldSpecError, GridError, PerifrontError
 from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
-                   assemble_tilted_operator, first_derivative, make_cell_grid)
+                   _is_integer, _is_number, assemble_tilted_operator,
+                   first_derivative, make_cell_grid)
 from .eigen import principal_eig_scalar, principal_eig_coupled
 from .dispersion import Dispersion, boundary_speeds_A6
 
@@ -673,7 +673,8 @@ def check_competition_assumptions(tc: TransformedCompetition,
 
 
 # The parameters each built-in family reads, with the kind of value each
-# takes; make_model rejects any other parameter, and any other value.
+# takes; make_model rejects any other parameter and any value its kind's
+# check fails (PeriodicField.from_spec checks a field where it reads it).
 _MODEL_PARAMS = {
     "constant2": {"g": "number"},
     "periodic2": {"amp": "number", "qamp": "number", "g": "number"},
@@ -681,41 +682,10 @@ _MODEL_PARAMS = {
                               "a21"), "field"),
     "chain-m": {"m": "components", "a": "number"},
 }
-_KIND_WANTED = {"number": "a finite number",
-                "components": "an integer >= 2",
-                "field": "a number or a const, cosine or csv field spec"}
-
-
-def _is_number(val) -> bool:
-    return (isinstance(val, numbers.Real) and not isinstance(val, bool)
-            and math.isfinite(val))
-
-
-def _is_integer(val) -> bool:
-    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
-
-
-def _is_kind(kind: str, val) -> bool:
-    """Whether val is a value of the parameter kind (see _MODEL_PARAMS);
-    a field spec is what PeriodicField.from_spec reads."""
-    if kind == "number":
-        return _is_number(val)
-    if kind == "components":
-        return _is_integer(val) and val >= 2
-    if _is_number(val):
-        return True
-    if not (isinstance(val, dict) and len(val) == 1):
-        return False
-    (form, arg), = val.items()
-    if form == "const":
-        return _is_number(arg)
-    if form == "csv":
-        return isinstance(arg, str)
-    return (form == "cosine" and isinstance(arg, dict)
-            and {"mean", "amp"} <= arg.keys()
-            <= {"mean", "amp", "harmonics", "phase"}
-            and all(map(_is_number, arg.values()))
-            and _is_integer(arg.get("harmonics", 1)))
+_KINDS = {"number": ("a finite number", _is_number),
+          "components": ("an integer >= 2",
+                         lambda val: _is_integer(val) and val >= 2),
+          "field": (None, lambda val: True)}
 
 
 def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionModel:
@@ -743,9 +713,10 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
                      if key in ("L", "n") else "")
             raise ConfigError(f"{name} has no parameter {key!r}{where}; "
                               f"it reads {', '.join(known)}")
-        if not _is_kind(known[key], val):
+        wanted, check = _KINDS[known[key]]
+        if not check(val):
             raise ConfigError(f"{name} parameter {key!r} must be "
-                              f"{_KIND_WANTED[known[key]]}, got {val!r}")
+                              f"{wanted}, got {val!r}")
     cell = cell or make_cell_grid(1.0, 64)
     n = cell.n
     if name in ("constant2", "periodic2"):
@@ -771,6 +742,8 @@ def make_model(name: str, cell: CellGrid | None = None, **params) -> ReactionMod
             try:
                 return PeriodicField.from_spec(
                     cell, params.get(key, default)).values
+            except FieldSpecError as exc:
+                raise ConfigError(f"custom2 parameter {key!r} {exc}") from exc
             except (OSError, ValueError, GridError) as exc:  # a csv file
                 raise ConfigError(f"custom2 parameter {key!r}: {exc}") from exc
         d = np.stack([spec("d1", 1.0), spec("d2", 1.0)])

@@ -1,15 +1,20 @@
 import dataclasses
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from golden_cases import models_at_64
+import perifront.eigen as eigen
 from perifront import (Dispersion, assemble_tilted_operator,
                        boundary_speeds_A6, make_cell_grid, make_model,
                        principal_eig_scalar)
 from perifront.errors import PerifrontError, SpectralGapError
 from perifront.models import PolyH, ReactionModel
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def two_component(cell, zeta1=1.0, zeta2=-1.0, a21=1.0):
@@ -168,6 +173,42 @@ class TestCascade:
             assert disp.spectral_gap(lam) > 0
 
 
+def spectral_media():
+    """(id, model) of the six media the derivative is checked on: the
+    closed-form constant2 and chain-m (m = 4), periodic2 at its defaults
+    and on a longer, finer, stronger cell, and the two seeded custom2
+    media of the benchmark's spectral workload (bench/workloads.py, seed
+    0, read from its source text so nothing is written next to it)."""
+    src = BENCH_WORKLOADS.read_text()
+    bench = types.ModuleType("bench_workloads")
+    exec(compile(src, str(BENCH_WORKLOADS), "exec"), bench.__dict__)
+    rng = np.random.default_rng(bench.DEFAULT_SEED)
+    return [("constant2", make_model("constant2")),
+            ("periodic2", make_model("periodic2")),
+            ("periodic2-L4", make_model("periodic2", make_cell_grid(4.0, 128),
+                                        amp=0.8, qamp=0.5)),
+            ("chain-m", make_model("chain-m", m=4)),
+            ("custom2-a", make_model("custom2", **bench.custom2_params(rng))),
+            ("custom2-b", make_model("custom2", **bench.custom2_params(rng)))]
+
+
+def central_difference(model, lam):
+    """The cascade's central difference over dlam = 1e-4 max(1, |lam|),
+    each side from a fresh Dispersion: a reference that shares no step
+    with the exact solve."""
+    dlam = 1e-4 * max(1.0, abs(lam))
+    side = lambda l: Dispersion(model).cascade(l).as_array()
+    return (side(lam + dlam) - side(lam - dlam)) / (2.0 * dlam)
+
+
+@pytest.fixture(scope="module", params=spectral_media(), ids=lambda p: p[0])
+def medium(request):
+    """(id, model, lam_+0, lam_c(1.25 c_+0))."""
+    label, model = request.param
+    c0, lam0 = Dispersion(model).critical_speed()
+    return label, model, lam0, Dispersion(model).lambda_c(1.25 * c0)
+
+
 class TestDerivative:
     def test_constant_model(self):
         disp = Dispersion(two_component(make_cell_grid(1.0, 64)))
@@ -181,10 +222,37 @@ class TestDerivative:
         der = disp.cascade_derivative(lam0)
         assert abs(der.kappa1_prime - c0) <= 1e-11
 
-    def test_richardson_consistency(self):
-        disp = Dispersion(make_model("periodic2"))
-        der = disp.cascade_derivative(0.9)
-        assert der.richardson_defect <= 1e-4
+    @pytest.mark.parametrize("at", ["lam0", "lam_c"])
+    def test_matches_central_difference(self, medium, at):
+        label, model, lam0, lam_c = medium
+        lam = lam0 if at == "lam0" else lam_c
+        der = Dispersion(model).cascade_derivative(lam).as_array()
+        ref = central_difference(model, lam)
+        assert np.abs(der - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
+        # mean(phi_1) = 1 at every lam
+        assert abs(der[0].mean()) <= 1e-12
+        if label in ("constant2", "chain-m"):   # Phi_lam = const in x
+            assert np.abs(der).max() <= 1e-12
+
+    def test_solves_no_eigenpair(self, monkeypatch):
+        """With cascade(lam) and kappa1_prime(lam) memoized, the
+        derivative runs no inverse-power loop (a central difference of
+        the cascade runs m per side)."""
+        model = make_model("chain-m", m=4)
+        disp = Dispersion(model)
+        lam = disp.lambda_c(1.25 * disp.critical_speed()[0])
+        disp.cascade(lam)
+        disp.kappa1_prime(lam)
+        loops = []
+        real = eigen._inverse_power
+
+        def counting(*args):
+            loops.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(eigen, "_inverse_power", counting)
+        disp.cascade_derivative(lam)
+        assert loops == []
 
 
 class TestExactSlope:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from perifront import (BandedMatrix, OperatorSpec, PeriodicField,
                        assemble_tilted_operator, first_derivative,
                        make_cell_grid, solve_cyclic_banded)
 from perifront.errors import GridError, MetzlerError, SingularSystemError
+from perifront.grid import tilted_operator_derivative
 
 
 def constant_spec(grid, d=1.0, q=0.0, eta=0.0, lam=0.0, e=1):
@@ -69,6 +72,22 @@ class TestAssemble:
         g = make_cell_grid(1.0, 64)
         A = assemble_tilted_operator(constant_spec(g, q=0.5, lam=1.0))
         assert A.sub.min() >= 0.0 and A.sup.min() >= 0.0
+
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_derivative_is_the_exact_difference(self, e):
+        """The entries are at most quadratic in lam, so the central
+        difference of step 1/2 is the lam-derivative up to roundoff."""
+        g = make_cell_grid(2.0, 64)
+        x = g.x
+        spec = OperatorSpec(
+            PeriodicField(g, 1.0 + 0.3 * np.cos(np.pi * x)),
+            PeriodicField(g, 0.4 * np.sin(np.pi * x)),
+            PeriodicField(g, np.cos(np.pi * x)), lam=0.7, e=e)
+        dense = lambda lam: assemble_tilted_operator(
+            dataclasses.replace(spec, lam=lam)).to_dense()
+        want = dense(1.2) - dense(0.2)
+        got = tilted_operator_derivative(spec).to_dense()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_metzler_violation_names_n(self):
         g = make_cell_grid(1.0, 16)
@@ -148,6 +167,32 @@ class TestFields:
         f = PeriodicField.from_spec(g, {"cosine": {"mean": 1.0, "amp": 0.5,
                                                    "harmonics": 2}})
         assert np.allclose(f.values, 1 + 0.5 * np.cos(4 * np.pi * g.x))
+
+    @pytest.mark.parametrize("spec", [
+        {"cosine": {"mean": 1.0, "amp": 0.5, "harmonics": 1.5}},
+        True,
+        {"const": 1.0, "cosine": {"mean": 1.0, "amp": 0.5}},
+        {"cosine": {"mean": 1.0, "amp": 0.5, "phse": 0.3}},
+        {"cosine": {"mean": 1.0}},
+        {"csv": 5},
+    ], ids=["fractional-harmonics", "bool", "two-forms",
+            "unknown-cosine-key", "missing-amp", "csv-not-a-path"])
+    def test_from_spec_rejects(self, spec):
+        """Each spec that is none of the accepted forms raises GridError
+        naming the forms and the spec, before any field is built."""
+        with pytest.raises(GridError, match="must be a number or a const, "
+                           "cosine or csv field spec, got "):
+            PeriodicField.from_spec(make_cell_grid(1.0, 64), spec)
+
+    def test_from_spec_accepts_numpy_scalars(self):
+        g = make_cell_grid(1.0, 64)
+        f = PeriodicField.from_spec(g, np.int64(2))
+        assert np.array_equal(f.values, np.full(64, 2.0))
+        f = PeriodicField.from_spec(g, {"cosine": {
+            "mean": np.float64(1.0), "amp": np.int64(1),
+            "harmonics": np.int64(2)}})
+        assert np.array_equal(f.values, PeriodicField.from_spec(g, {
+            "cosine": {"mean": 1.0, "amp": 1, "harmonics": 2}}).values)
 
     def test_first_derivative(self):
         g = make_cell_grid(1.0, 256)
