@@ -499,8 +499,7 @@ def _sandwich_corrector(model, disp, profile, delta: float, psi_pair):
         return cp[None, :] * (T - psi[:, idx]) + cs[None, :] * Ts
 
     # z0 scan: U(x, s) - delta xi(x, s + z0) - 1 <= -(delta/2) Psi(x), all
-    # cell rows of one trial shift at once as (m, n, len(scan_s)); a row
-    # whose maximum is NaN (unobserved bins) does not reject the shift
+    # cell rows of one trial shift at once as (m, n, len(scan_s))
     scan_s = np.arange(profile.s[0] - 10.0, profile.s[-1] + 10.0, cell.h)
     rows = np.arange(cell.n)[:, None]
     Uv = profile.eval(np.repeat(rows, len(scan_s)), np.tile(scan_s, cell.n))

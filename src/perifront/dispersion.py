@@ -19,15 +19,15 @@ positive solution exactly because kappa_1 dominates kappa_j.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PerifrontError, SpectralGapError
-from .grid import (OperatorSpec, PeriodicField, assemble_tilted_operator,
-                   solve_cyclic_banded, tilted_operator_derivative)
+from .grid import (BandedMatrix, OperatorSpec, PeriodicField,
+                   assemble_tilted_operator, solve_cyclic_banded,
+                   tilted_operator_derivative)
 from .eigen import principal_eig_scalar, with_left
 
 __all__ = [
@@ -164,8 +164,6 @@ class Dispersion:
         self.model = model
         self.e = int(e)
         self._pair_memo = {}
-        self._cascade_memo = {}
-        self._crit = None
 
     # -- scalar curves ----------------------------------------------------
 
@@ -204,8 +202,6 @@ class Dispersion:
         min_ratio finds lambda_plus0 as the root of the tangency condition
         lam kappa_1'(lam) = kappa_1(lam), with the exact kappa1_prime.
         """
-        if self._crit is not None:
-            return self._crit
         k0 = self.kappa(0, 0.0)
         if k0 <= 0.0:
             raise PerifrontError(
@@ -216,9 +212,8 @@ class Dispersion:
             slope = self.kappa1_prime(lam)     # first: solves psi too
             return self.kappa(0, lam), slope
 
-        self._crit = min_ratio(
+        return min_ratio(
             curve, k0, f"no ratio minimum found below lam = {LAMBDA_MAX}")
-        return self._crit
 
     def tau(self, c: float) -> int:
         """1 at the critical speed (|c - c_plus0| <= 1e-10), 0 above it;
@@ -252,9 +247,6 @@ class Dispersion:
 
     def cascade(self, lam: float) -> VectorEigenfunction:
         """Positive vector eigenfunction Phi_lam via the triangular cascade."""
-        key = round(lam, 12)
-        if key in self._cascade_memo:
-            return self._cascade_memo[key]
         model = self.model
         cell = model.cell
         gap = self.spectral_gap(lam)
@@ -286,18 +278,18 @@ class Dispersion:
                     f"cascade residual {resid:.3e} out of tolerance")
             comps.append(phi_j)
             resids.append(resid)
-        out = VectorEigenfunction(
+        return VectorEigenfunction(
             lam, kappa1,
             tuple(PeriodicField(cell, v) for v in comps),
             tuple(resids))
-        self._cascade_memo[key] = out
-        return out
 
     def cascade_derivative(self, lam: float) -> EigenfunctionDerivative:
         """d/dlam of Phi_lam, exact for the assembled matrices: the cascade
         identity differentiated, S_j phi_j' = (A_j' - kappa_1') phi_j +
-        sum_{k<j} a_jk phi_k' with S_j = kappa_1 I - A_j.  S_1 is singular
-        on phi_1, and mean(phi_1') = 0 (mean(phi_1) = 1 at every lam)."""
+        sum_{k<j} a_jk phi_k' with S_j = kappa_1 I - A_j.  S_1, a singular
+        irreducible M-matrix, is nonsingular without node 0 (Berman &
+        Plemmons, Thm 6.4.16): x solves it there with x_0 = 0, and phi_1' =
+        x - mean(x) phi_1 has mean 0 (mean(phi_1) = 1 at every lam)."""
         model = self.model
         phi = self.cascade(lam)
         kprime = self.kappa1_prime(lam)
@@ -313,11 +305,11 @@ class Dispersion:
             S = assemble_tilted_operator(spec).shifted_from(phi.kappa)
             if j:
                 ders.append(solve_cyclic_banded(S, rhs))
-            else:       # [[S_1, phi_1], [1^T, 0]] [phi_1'; mu] = [rhs; 0]
-                ders.append(np.linalg.solve(
-                    np.block([[S.to_dense(), phi_j[:, None]],
-                              [np.ones((1, len(rhs))), 0.0]]),
-                    np.append(rhs, 0.0))[:-1])
+            else:       # rows and columns 1..n-1 of S_1, corners 0
+                x = np.r_[0.0, solve_cyclic_banded(BandedMatrix(
+                    np.r_[0.0, S.sub[2:]], S.main[1:],
+                    np.r_[S.sup[1:-1], 0.0]), rhs[1:])]
+                ders.append(x - x.mean() * phi_j)
         return EigenfunctionDerivative(
             lam, tuple(PeriodicField(model.cell, v) for v in ders), kprime)
 
@@ -347,7 +339,6 @@ def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s):
     by min_ratio, as c_plus0.
     """
     def speed(dv, qv, ev, e):
-        @functools.cache
         def curve(lam):
             spec = OperatorSpec(
                 d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),

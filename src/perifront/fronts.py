@@ -93,12 +93,14 @@ class FrontProfile:
     c: float
     cell: object
     s: np.ndarray              # (ns,) bin centers, spacing h
-    U: np.ndarray              # (m, n_cell, ns); NaN only if user-built
+    U: np.ndarray              # (m, n_cell, ns), finite
     occupancy: np.ndarray      # (n_cell, ns)
     monotonicity_defect: float
     s_solid: tuple = None      # s-range where every row met the threshold
 
     def __post_init__(self):
+        if not np.isfinite(self.U).all():
+            raise FrontError("profile U holds non-finite values")
         if self.s_solid is None:
             self.s_solid = (float(self.s[0]), float(self.s[-1]))
 
@@ -264,8 +266,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
 
     occ = counts[:, lo:hi + 1].copy()
     del counts, counts_d
-    with np.errstate(invalid="ignore"):
-        U = sums[:, :, lo:hi + 1] / np.maximum(occ, 1e-300)[None, :, :]
+    U = sums[:, :, lo:hi + 1] / np.maximum(occ, 1e-300)[None, :, :]
     del sums, sums_d
     s_axis = (np.arange(lo, hi + 1) + k0) * h
 
@@ -425,10 +426,7 @@ def _grid_argmin(U: FrontProfile, V: FrontProfile, zs: np.ndarray) -> int:
     evaluating the full sup only where it can win: shifts are visited in
     ascending order of their BOUND_EVERY-column lower bounds, and the scan
     stops at the first bound above the best full value, which no later
-    shift can beat or tie.  With a NaN in either profile every shift is
-    evaluated in full, as a bound over all-NaN columns would warn."""
-    if np.isnan(U.U).any() or np.isnan(V.U).any():
-        return int(np.argmin([_sup_dist_shifted(U, V, z) for z in zs]))
+    shift can beat or tie."""
     bounds = [_sup_dist_columns(U, V, z, BOUND_EVERY) for z in zs]
     best, arg = math.inf, None
     for i in np.argsort(bounds, kind="stable"):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,14 +114,23 @@ class PeriodicField:
         """Load (x, value) rows and resample at the nodes by linear interpolation.
 
         Sample abscissae are reduced mod L; the interpolation wraps around.
+        Rows at one x (mod L), such as x = 0 and x = L, must hold one value.
         """
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():     # an empty file raises below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        if not len(data):
+            raise GridError(f"{path} holds no x, value rows")
         if data.shape[1] != 2:
             raise GridError(f"{path} must hold two columns x, value; "
                             f"it holds {data.shape[1]}")
         xs = np.mod(data[:, 0], grid.L)
         order = np.argsort(xs)
         xs, vs = xs[order], data[order, 1]
+        clash = np.flatnonzero((np.diff(xs) == 0.0) & (np.diff(vs) != 0.0))
+        if len(clash):
+            raise GridError(f"{path} holds different values at x = "
+                            f"{float(xs[clash[0]])!r} (mod L = {grid.L!r})")
         xpad = np.concatenate([xs, [xs[0] + grid.L]])
         vpad = np.concatenate([vs, [vs[0]]])
         return cls(grid, np.interp(grid.x, xpad, vpad, period=grid.L))

@@ -250,6 +250,21 @@ class TestErrors:
                        "must hold two columns x, value; it holds 1"]
         assert not out.exists()
 
+    def test_csv_field_with_two_values_at_one_x_exit_2(self, tmp_path,
+                                                       capsys):
+        csv = tmp_path / "d1.csv"
+        csv.write_text("0,1\n0.5,1.2\n0.5,0.8\n")
+        cfgfile = tmp_path / "model.json"
+        cfgfile.write_text(json.dumps(
+            {"model": {"name": "custom2", "d1": {"csv": str(csv)}}}))
+        out = tmp_path / "o"
+        rc = main(["dispersion", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: custom2 parameter 'd1': {csv} "
+                       "holds different values at x = 0.5 (mod L = 1.0)"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_exit_2(self, tmp_path, capsys, key, value):

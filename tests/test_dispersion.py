@@ -152,6 +152,28 @@ class TestCascade:
         assert all(c.min() > 0 for c in casc.components)
         assert max(casc.residuals) <= 1e-8
 
+    def test_recompute_runs_no_eigensolve(self, monkeypatch):
+        """critical_speed and cascade recompute from the memoized Perron
+        pairs: a second call runs no inverse-power loop and returns the
+        same bits."""
+        disp = Dispersion(make_model("periodic2"))
+        crit = disp.critical_speed()
+        lam = disp.lambda_c(1.25 * crit[0])
+        phi = disp.cascade(lam)
+        loops = []
+        real = eigen._inverse_power
+
+        def counting(*args):
+            loops.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(eigen, "_inverse_power", counting)
+        assert disp.critical_speed() == crit
+        again = disp.cascade(lam)
+        assert loops == []
+        assert again.kappa == phi.kappa and again.residuals == phi.residuals
+        assert np.array_equal(again.as_array(), phi.as_array())
+
     def test_gap_violation_raises(self):
         disp = Dispersion(two_component(make_cell_grid(1.0, 64), zeta2=1.0))
         with pytest.raises(SpectralGapError):
@@ -233,6 +255,21 @@ class TestDerivative:
         assert abs(der[0].mean()) <= 1e-12
         if label in ("constant2", "chain-m"):   # Phi_lam = const in x
             assert np.abs(der).max() <= 1e-12
+
+    def test_solves_no_dense_system(self, monkeypatch):
+        """Every component, the singular first one included, is one
+        banded solve: no dense numpy.linalg.solve on the 128-node cell."""
+        model = make_model("periodic2", make_cell_grid(4.0, 128), amp=0.8,
+                           qamp=0.5)
+        disp = Dispersion(model)
+        lam0 = disp.critical_speed()[1]
+
+        def dense(*args):
+            raise AssertionError("dense solve")
+
+        monkeypatch.setattr(np.linalg, "solve", dense)
+        der = disp.cascade_derivative(lam0).as_array()
+        assert np.isfinite(der).all() and abs(der[0].mean()) <= 1e-12
 
     def test_solves_no_eigenpair(self, monkeypatch):
         """With cascade(lam) and kappa1_prime(lam) memoized, the

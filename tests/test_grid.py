@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,33 @@ class TestFields:
         f = PeriodicField.from_csv(g, path)
         exact = np.cos(2 * np.pi * g.x)
         assert np.max(np.abs(f.values - exact)) < 2e-2  # linear interp error
+
+    @pytest.mark.parametrize("text", ["", "# x, value\n"],
+                             ids=["empty", "comment-only"])
+    def test_from_csv_rejects_a_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(GridError, match=re.escape(
+                f"{path} holds no x, value rows")):
+            PeriodicField.from_csv(make_cell_grid(1.0, 64), path)
+
+    def test_from_csv_rejects_two_values_at_one_x(self, tmp_path):
+        """x = 1.25 is x = 0.25 mod L = 1: a jump the field cannot hold."""
+        path = tmp_path / "clash.csv"
+        path.write_text("0,1\n0.25,2\n0.5,1\n1.25,3\n")
+        with pytest.raises(GridError, match=re.escape(
+                f"{path} holds different values at x = 0.25 (mod L = 1.0)")):
+            PeriodicField.from_csv(make_cell_grid(1.0, 64), path)
+
+    def test_from_csv_accepts_equal_values_at_one_x(self, tmp_path):
+        """Writing both ends, x = 0 and x = L, with one value is allowed
+        and resamples as the file without the x = L row."""
+        g = make_cell_grid(1.0, 64)
+        both, one = tmp_path / "both.csv", tmp_path / "one.csv"
+        one.write_text("0,1\n0.5,2\n")
+        both.write_text("0,1\n0.5,2\n1,1\n")
+        assert np.array_equal(PeriodicField.from_csv(g, both).values,
+                              PeriodicField.from_csv(g, one).values)
 
     def test_from_spec_cosine(self):
         g = make_cell_grid(1.0, 64)
