@@ -8,8 +8,7 @@ from .grid import (CellGrid, PeriodicField, OperatorSpec, BandedMatrix,
 from .eigen import (EigenPair, CoupledEigenPair, principal_eig_scalar,
                     principal_eig_coupled, coupled_perron)
 from .dispersion import (Dispersion, VectorEigenfunction,
-                         EigenfunctionDerivative, golden_section_min,
-                         boundary_speeds_A6)
+                         EigenfunctionDerivative, boundary_speeds_A6)
 from .models import (PolyH, ReactionModel, CompetitionSpec,
                      TransformedCompetition, HypothesisReport,
                      check_hypotheses, competition_steady_states,
@@ -21,7 +20,8 @@ from .sim import (WindowGrid, SimState, StepperConfig, Trajectory, Stepper,
 from .fronts import (FrontProfile, FitResult, ShiftResult, front_position,
                      measure_speed, extract_profile, fit_decay,
                      shift_distance, convergence_metric,
-                     log_derivative_diagnostics, component_ratio_bound)
+                     log_derivative_diagnostics, component_ratio_bound,
+                     golden_section_min)
 from .certify import (CandidateSolution, CertReport, BoundaryCheck,
                       build_sub_supercritical, build_sub_critical,
                       build_super_linearized, build_super_linearized_critical,

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import CertificationError, PerifrontError
 from .eigen import principal_eig_coupled
-from .dispersion import bisect
 from .fronts import front_position
 from .models import _h7_scan, dependency_lattice, json_native
 
@@ -732,6 +731,19 @@ def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
 
 # ---------------------------------------------------------------------------
 # near-one Jacobian variation radius
+
+
+def bisect(below, lo: float, hi: float, steps: int):
+    """Bisection of [lo, hi] for the point where the predicate below turns
+    false: the midpoint replaces lo where below(mid) holds and hi
+    otherwise, for steps halvings.  Returns the final (lo, hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _row_variation(model, J1: np.ndarray, i: int, rho: float) -> float:

@@ -34,37 +34,16 @@ __all__ = [
     "VectorEigenfunction",
     "EigenfunctionDerivative",
     "Dispersion",
-    "golden_section_min",
     "bracketed_root",
     "min_ratio",
-    "bisect",
     "boundary_speeds_A6",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_MAX = 64.0
 ROOT_RTOL = 1e-13          # bracketed_root's step tolerance, times max(1, |x|)
 ROOT_MAX_STEPS = 200
 GAP_FLOOR = 1e-8           # least curve gap the cascade accepts
 CASCADE_RESID_TOL = 1e-8   # cascade residual bound, times max(1, max phi_j)
-
-
-def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
-    """Golden-section search for the minimizer of a unimodal f on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
 
 
 def bracketed_root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -96,8 +75,11 @@ def min_ratio(curve, k0: float, error: str):
     kappa with kappa(0) = k0 > 0, where curve(lam) = (kappa, kappa'): the
     root of g = lam kappa' - kappa, increasing from g(0) = -k0, bracketed
     by doubling hi from 1 until g(hi) > 0 (PerifrontError(error) once hi
-    passes LAMBDA_MAX)."""
+    passes LAMBDA_MAX); curve runs once per doubling or root step."""
+    kappa = None
+
     def g(lam):
+        nonlocal kappa
         kappa, slope = curve(lam)
         return lam * slope - kappa
 
@@ -106,21 +88,8 @@ def min_ratio(curve, k0: float, error: str):
         lo, glo, hi = hi, ghi, 2.0 * hi
         if hi > LAMBDA_MAX:
             raise PerifrontError(error)
-    lam0 = bracketed_root(g, lo, hi, glo, ghi)
-    return curve(lam0)[0] / lam0, lam0
-
-
-def bisect(below, lo: float, hi: float, steps: int):
-    """Bisection of [lo, hi] for the point where the predicate below turns
-    false: the midpoint replaces lo where below(mid) holds and hi
-    otherwise, for steps halvings.  Returns the final (lo, hi)."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    lam0 = bracketed_root(g, lo, hi, glo, ghi)     # g's last call is at lam0
+    return kappa / lam0, lam0
 
 
 @dataclass(frozen=True)
@@ -168,25 +137,18 @@ class Dispersion:
     # -- scalar curves ----------------------------------------------------
 
     def _component_spec(self, i: int, lam: float) -> OperatorSpec:
-        cell = self.model.cell
-        return OperatorSpec(
-            d=PeriodicField(cell, self.model.d[i]),
-            q=PeriodicField(cell, self.model.q[i]),
-            eta=PeriodicField(cell, self.model.zeta(i)),
-            lam=lam, e=self.e)
+        model = self.model
+        return OperatorSpec.of(model.cell, model.d[i], model.q[i],
+                               model.zeta(i), lam, self.e)
 
     def _pair(self, i: int, lam: float, left: bool = False):
-        """Memoized Perron pair; left=True wants psi and the slope (added
-        to the memo's pair if it lacks them, keeping its kappa and phi)."""
+        """Memoized Perron pair; left=True also wants psi and the slope."""
         key = (i, round(lam, 12))
         pair = self._pair_memo.get(key)
         if pair is None:
-            pair = principal_eig_scalar(self._component_spec(i, lam),
-                                        left=left)
-        elif left and pair.left is None:
+            pair = principal_eig_scalar(self._component_spec(i, lam))
+        if left and pair.left is None:
             pair = with_left(self._component_spec(i, lam), pair)
-        else:
-            return pair
         self._pair_memo[key] = pair
         return pair
 
@@ -209,8 +171,7 @@ class Dispersion:
                 "linearly unstable, no finite spreading speed")
 
         def curve(lam):
-            slope = self.kappa1_prime(lam)     # first: solves psi too
-            return self.kappa(0, lam), slope
+            return self.kappa(0, lam), self.kappa1_prime(lam)
 
         return min_ratio(
             curve, k0, f"no ratio minimum found below lam = {LAMBDA_MAX}")
@@ -340,13 +301,11 @@ def boundary_speeds_A6(cell, d1, q1, a11s, d2, q2, a22s):
     """
     def speed(dv, qv, ev, e):
         def curve(lam):
-            spec = OperatorSpec(
-                d=PeriodicField(cell, dv), q=PeriodicField(cell, qv),
-                eta=PeriodicField(cell, ev), lam=lam, e=e)
-            pair = principal_eig_scalar(spec, left=True)
+            spec = OperatorSpec.of(cell, dv, qv, ev, lam, e)
+            pair = with_left(spec, principal_eig_scalar(spec))
             return pair.value, pair.slope
 
-        return min_ratio(curve, curve(0.0)[0],
-                         "no bracket for boundary speed")[0]
+        at0 = principal_eig_scalar(OperatorSpec.of(cell, dv, qv, ev, 0.0, e))
+        return min_ratio(curve, at0.value, "no bracket for boundary speed")[0]
 
     return speed(d1, q1, a11s, 1), speed(d2, q2, a22s, -1)

@@ -40,7 +40,7 @@ class EigenPair:
     vector: PeriodicField
     residual: float
     iterations: int
-    left: PeriodicField | None = None    # psi, solved with left=True
+    left: PeriodicField | None = None    # psi, added by with_left
     slope: float | None = None           # d value / d lam, likewise
 
     def __post_init__(self):
@@ -87,30 +87,26 @@ def _perron(B: BandedMatrix, sigma: float):
         sigma, ones, float(B.matvec(ones).mean()), SCALAR_TOL)
 
 
-def principal_eig_scalar(spec: OperatorSpec, left: bool = False) -> EigenPair:
+def principal_eig_scalar(spec: OperatorSpec) -> EigenPair:
     """Perron eigenpair of the assembled tilted operator.
 
     Returns (kappa, phi) with ||A phi - kappa phi||_inf <= SCALAR_TOL *
     max(1, |kappa|) and phi > 0 normalized to mean(phi) = 1 (a smooth
     normalization in lam, which the dispersion module differentiates
-    through).  left=True adds psi and the slope, as with_left does.
+    through).  with_left adds psi and the slope.
     """
     A = assemble_tilted_operator(spec)
     kappa, phi, resid, it = _perron(A, 1.0 + A.gershgorin_max())
-    pair = EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
-    return with_left(spec, pair, A) if left else pair
+    return EigenPair(kappa, PeriodicField(spec.d.grid, phi), resid, it)
 
 
-def with_left(spec: OperatorSpec, pair: EigenPair,
-              A: BandedMatrix | None = None) -> EigenPair:
-    """pair, the right Perron pair of spec's operator A (assembled here
-    when not given), with psi > 0, the same iteration on A^T, and the
-    exact slope d kappa/d lam = psi^T A' phi / psi^T phi added, A' =
-    tilted_operator_derivative(spec) (Kato, ch. II).  psi does not depend
-    on phi, so the result is principal_eig_scalar(spec, left=True) bit
-    for bit without solving the right pair again."""
-    if A is None:
-        A = assemble_tilted_operator(spec)
+def with_left(spec: OperatorSpec, pair: EigenPair) -> EigenPair:
+    """pair, the right Perron pair of spec's operator A, with psi > 0, the
+    same iteration on A^T, and the exact slope d kappa/d lam = psi^T A'
+    phi / psi^T phi added, A' = tilted_operator_derivative(spec) (Kato,
+    ch. II).  psi does not depend on phi, so the right pair is not
+    solved again."""
+    A = assemble_tilted_operator(spec)
     psi = _perron(A.transposed(), 1.0 + A.gershgorin_max())[1]
     phi = pair.vector.values
     slope = psi @ tilted_operator_derivative(spec).matvec(phi) / (psi @ phi)
@@ -127,12 +123,8 @@ def _assemble_coupled(cell: CellGrid, ds, qs, J) -> sp.csr_matrix:
     n = cell.n
     blocks = [[None] * m for _ in range(m)]
     for i in range(m):
-        spec = OperatorSpec(
-            d=PeriodicField(cell, ds[i]),
-            q=PeriodicField(cell, qs[i]),
-            eta=PeriodicField(cell, J[i, i]),
-            lam=0.0)
-        B = assemble_tilted_operator(spec)
+        B = assemble_tilted_operator(OperatorSpec.of(cell, ds[i], qs[i],
+                                                      J[i, i]))
         blocks[i][i] = sp.diags(
             [B.sub[1:], B.main, B.sup[:-1]], [-1, 0, 1], format="lil")
         blocks[i][i][0, n - 1] += B.sub[0]

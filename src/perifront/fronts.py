@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrontError
-from .dispersion import golden_section_min
 
 __all__ = [
     "FrontProfile",
@@ -34,6 +33,7 @@ __all__ = [
     "convergence_metric",
     "log_derivative_diagnostics",
     "component_ratio_bound",
+    "golden_section_min",
 ]
 
 SMOOTH_PASSES = 2      # binomial passes of FrontProfile.smoothed
@@ -45,6 +45,7 @@ DECAY_FLOOR = 1e-12    # fit_decay's smallest fitted tail value
 MIN_DECADES = 3.0      # and the decades the fitted tail must span
 LOG_DERIVATIVE_LEVEL = 1e-2    # left-tail level of log_derivative_diagnostics
 BOUND_EVERY = 64       # column stride of shift_distance's lower bounds
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def front_position(u: np.ndarray, x: np.ndarray, level: float) -> float:
@@ -382,6 +383,24 @@ def _check_same_cell(a: str, cell_a, m_a: int, b: str, cell_b, m_b: int):
     if m_a != m_b:
         raise FrontError(
             f"component counts differ ({a}: m={m_a}; {b}: m={m_b})")
+
+
+def golden_section_min(f, a: float, b: float, tol: float = 1e-11):
+    """Golden-section search for the minimizer of a unimodal f on [a, b]."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol * max(1.0, abs(a) + abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
 
 
 def _sup_dist_shifted(U: FrontProfile, V: FrontProfile, z: float) -> float:

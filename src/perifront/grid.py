@@ -114,7 +114,8 @@ class PeriodicField:
         """Load (x, value) rows and resample at the nodes by linear interpolation.
 
         Sample abscissae are reduced mod L; the interpolation wraps around.
-        Rows at one x (mod L), such as x = 0 and x = L, must hold one value.
+        Rows at one x (mod L), such as x = 0 and x = L, must hold one value,
+        and every x and value must be finite.
         """
         with warnings.catch_warnings():     # an empty file raises below
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
@@ -124,6 +125,10 @@ class PeriodicField:
         if data.shape[1] != 2:
             raise GridError(f"{path} must hold two columns x, value; "
                             f"it holds {data.shape[1]}")
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if len(bad):
+            raise GridError(f"{path} data row {bad[0] + 1} holds a "
+                            f"non-finite number: {data[bad[0]].tolist()}")
         xs = np.mod(data[:, 0], grid.L)
         order = np.argsort(xs)
         xs, vs = xs[order], data[order, 1]
@@ -184,6 +189,14 @@ class OperatorSpec:
         if self.d.min() <= 0.0:
             raise GridError("diffusion coefficient must be strictly positive")
 
+    @classmethod
+    def of(cls, grid: CellGrid, d, q, eta=None, lam: float = 0.0,
+           e: int = 1) -> "OperatorSpec":
+        """The spec of node arrays d, q and eta on grid (eta = 0 if None)."""
+        return cls(PeriodicField(grid, d), PeriodicField(grid, q),
+                   PeriodicField(grid, np.zeros(grid.n) if eta is None
+                                 else eta), lam, e)
+
 
 @dataclass
 class BandedMatrix:
@@ -223,6 +236,11 @@ class BandedMatrix:
     def shifted_from(self, sigma: float) -> "BandedMatrix":
         """Return sigma*I - A."""
         return BandedMatrix(-self.sub, sigma - self.main, -self.sup)
+
+    def implicit(self, dt: float) -> "BandedMatrix":
+        """Return I - dt*A, the matrix of an implicit step dt."""
+        return BandedMatrix(-dt * self.sub, 1.0 - dt * self.main,
+                            -dt * self.sup)
 
     def gershgorin_max(self) -> float:
         """Upper bound of the spectrum's real part via row sums."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FieldSpecError, GridError, PerifrontError
-from .grid import (BandedMatrix, CellGrid, OperatorSpec, PeriodicField,
+from .grid import (CellGrid, OperatorSpec, PeriodicField,
                    _is_integer, _is_number, assemble_tilted_operator,
                    first_derivative, make_cell_grid)
 from .eigen import principal_eig_scalar, principal_eig_coupled
@@ -443,11 +443,8 @@ def _cell_imex_step(cell: CellGrid, d: np.ndarray, q: np.ndarray,
     d, q: (m, n); u, Fu: (m, n)."""
     factors = []
     for di, qi in zip(d, q):
-        A = assemble_tilted_operator(OperatorSpec(
-            d=PeriodicField(cell, di), q=PeriodicField(cell, qi),
-            eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
-        factors.append(BandedMatrix(
-            -dt * A.sub, 1.0 - dt * A.main, -dt * A.sup).factor())
+        A = assemble_tilted_operator(OperatorSpec.of(cell, di, qi))
+        factors.append(A.implicit(dt).factor())
 
     def step(u: np.ndarray, Fu: np.ndarray) -> np.ndarray:
         new = np.empty_like(u)
@@ -508,9 +505,7 @@ class CompetitionSpec:
 def _lambda0(cell, d, q, eta) -> float:
     """Principal eigenvalue of the untilted operator with diffusion d,
     drift q and zeroth-order coefficient eta on the periodic cell."""
-    return principal_eig_scalar(OperatorSpec(
-        d=PeriodicField(cell, d), q=PeriodicField(cell, q),
-        eta=PeriodicField(cell, eta), lam=0.0)).value
+    return principal_eig_scalar(OperatorSpec.of(cell, d, q, eta)).value
 
 
 def _scalar_logistic_steady_state(cell, d, a, b, aii):
@@ -606,7 +601,13 @@ def inverse_transform(tc: TransformedCompetition, coop_state: np.ndarray,
 def check_competition_assumptions(tc: TransformedCompetition,
                                   run_a2_heuristic: bool = True) -> HypothesisReport:
     """Check (A1) and (A3)-(A6); (A2) is reported not-checkable with a
-    heuristic sweep of periodic initial data."""
+    heuristic sweep of periodic initial data.
+
+    (A3) is checked at each node as a11 u1* > a12 u2* and a22 u2* >
+    a21 u1*.  The second half says species 2 can invade (u1*, 0), the
+    transformed upper state; on a constant spec a22 u2* = b2 and H8's
+    mu_minus = b2 - a21 u1*, so it holds exactly when mu_minus > 0, where
+    H8 fails.  `perifront competition`'s ok reads A1, A4, A5 and A6 only."""
     spec, cell = tc.spec, tc.spec.cell
     rep = HypothesisReport()
     l1 = _lambda0(cell, spec.d1, spec.a1, spec.b1)

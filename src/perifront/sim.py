@@ -40,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FrontError, PerifrontError
-from .grid import CellGrid, OperatorSpec, PeriodicField, assemble_tilted_operator
+from .grid import CellGrid, OperatorSpec, assemble_tilted_operator
 from .dispersion import Dispersion
 from .models import PolyH
 
@@ -274,17 +274,11 @@ class Stepper:
                        for ij, a in model.couplings.items()})
 
     def _factor(self, i: int):
-        model, window, dt = self.model, self.window, self.cfg.dt
-        cell = model.cell
-        A = assemble_tilted_operator(OperatorSpec(
-            d=PeriodicField(cell, model.d[i]),
-            q=PeriodicField(cell, model.q[i]),
-            eta=PeriodicField(cell, np.zeros(cell.n)), lam=0.0, e=1))
+        model = self.model
+        S = assemble_tilted_operator(OperatorSpec.of(
+            model.cell, model.d[i], model.q[i])).implicit(self.cfg.dt)
         idx = self.xidx
-        N = window.npts
-        sub = -dt * A.sub[idx]
-        main = 1.0 - dt * A.main[idx]
-        sup = -dt * A.sup[idx]
+        sub, main, sup = S.sub[idx], S.main[idx], S.sup[idx]
         # Dirichlet rows at both edges
         main[0] = 1.0; sup[0] = 0.0
         main[-1] = 1.0; sub[-1] = 0.0

@@ -410,8 +410,11 @@ def test_criterion_10_competition_margins():
 
 def test_criterion_10_front_endpoints():
     # dynamical half on the strong constant instance, the only constant
-    # medium whose transformed upper state is linearly stable (see ledger:
-    # the printed (A3) contradicts H8 for every constant medium)
+    # medium whose transformed upper state is linearly stable.  The coded
+    # (A3) and H8 disagree on each built-in spec, measured as verdict and
+    # margin (H8's margin is -mu_minus): competition-const (A3) pass 0.70,
+    # H8 fail -0.70; competition-strong (A3) fail -0.50, H8 pass 0.50;
+    # competition-periodic (A3) fail -0.513, H8 pass 0.502
     tc = pf.competition_to_cooperative(
         pf.make_competition_spec("competition-strong"))
     model = tc.model

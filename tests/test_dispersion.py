@@ -304,7 +304,7 @@ class TestExactSlope:
         for i in range(model.m):
             for lam in (0.0, 0.6, 1.3):
                 spec = disp._component_spec(i, lam)
-                pair = principal_eig_scalar(spec, left=True)
+                pair = eigen.with_left(spec, principal_eig_scalar(spec))
                 dense = lambda l: assemble_tilted_operator(
                     dataclasses.replace(spec, lam=l)).to_dense()
                 A = dense(lam)

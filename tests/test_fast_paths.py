@@ -49,7 +49,7 @@ from perifront import (Dispersion, SimState, Stepper, StepperConfig,
                        WindowGrid, convergence_metric, extract_profile,
                        make_cell_grid, make_model, shift_distance)
 from perifront.certify import _gamma0, compute_varrho
-from perifront.eigen import principal_eig_scalar
+from perifront.eigen import principal_eig_scalar, with_left
 from perifront.errors import SingularSystemError
 from perifront.grid import BandedMatrix, solve_cyclic_banded
 from perifront.models import PolyH, ReactionModel
@@ -327,11 +327,58 @@ def test_left_pair_reuses_the_memoized_right_pair(monkeypatch):
     assert len(loops) == 3
     monkeypatch.undo()
     got = disp._pair(0, lam)
-    want = principal_eig_scalar(disp._component_spec(0, lam), left=True)
+    spec = disp._component_spec(0, lam)
+    want = with_left(spec, principal_eig_scalar(spec))
     assert got.value == want.value and got.slope == want.slope
     assert np.array_equal(got.vector.values, want.vector.values)
     assert np.array_equal(got.left.values, want.left.values)
     assert (got.residual, got.iterations) == (want.residual, want.iterations)
+
+
+def test_min_ratio_calls_curve_once_per_step(monkeypatch):
+    # kappa = lam^2 + 2: g(1) = -1 and g(2) = 2 bracket the root sqrt(2);
+    # kappa at the root comes from the root step's own call
+    lams, steps = [], []
+
+    def curve(lam):
+        lams.append(lam)
+        return lam * lam + 2.0, 2.0 * lam
+
+    real = dispersion.bracketed_root
+
+    def counted_root(f, *args):
+        def counted(x):
+            steps.append(x)
+            return f(x)
+        return real(counted, *args)
+
+    monkeypatch.setattr(dispersion, "bracketed_root", counted_root)
+    ratio, lam0 = dispersion.min_ratio(curve, 2.0, "no bracket")
+    assert lams == [1.0, 2.0] + steps and steps[-1] == lam0
+    assert ratio == (lam0 * lam0 + 2.0) / lam0
+    assert lam0 == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_boundary_speeds_run_26_eigensolves(monkeypatch):
+    # per speed: a right-only solve at lam = 0, then a right and a left
+    # solve per doubling and root step; the hex speeds are those of the
+    # 32-solve path that solved kappa(0)'s left pair and the root again
+    loops = []
+    real = eigen._inverse_power
+
+    def counting(*args):
+        loops.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(eigen, "_inverse_power", counting)
+    cell = make_cell_grid(1.0, 64)
+    a11 = 1 + 0.4 * np.cos(2 * np.pi * cell.x)
+    one, zero = np.ones(64), np.zeros(64)
+    speeds = dispersion.boundary_speeds_A6(cell, one, zero, a11,
+                                           one, zero, one)
+    assert len(loops) == 26
+    assert [c.hex() for c in speeds] == ["0x1.003c4f31935fep+1",
+                                         "0x1.0000000000022p+1"]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +490,7 @@ def ref_shift_distance(U, V, bracket=20.0):
     zs = np.arange(-bracket, bracket + 1e-9, 4.0 * U.h_s)
     vals = [fronts._sup_dist_shifted(U, V, z) for z in zs]
     zbest = zs[int(np.argmin(vals))]
-    z0, dist = dispersion.golden_section_min(
+    z0, dist = fronts.golden_section_min(
         lambda z: fronts._sup_dist_shifted(U, V, z),
         zbest - 8.0 * U.h_s, zbest + 8.0 * U.h_s, tol=1e-6)
     return fronts.ShiftResult(float(z0), float(dist))

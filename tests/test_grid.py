@@ -180,6 +180,19 @@ class TestFields:
                 f"{path} holds different values at x = 0.25 (mod L = 1.0)")):
             PeriodicField.from_csv(make_cell_grid(1.0, 64), path)
 
+    @pytest.mark.parametrize("text, row, msg", [
+        ("# x, value\n0,1\nnan,1\n0.5,2\n", 2, "[nan, 1.0]"),
+        ("0,1\n0.25,2\n0.5,inf\n", 3, "[0.5, inf]")],
+        ids=["nan-x", "inf-value"])
+    def test_from_csv_rejects_a_non_finite_number(self, tmp_path, text, row,
+                                                  msg):
+        """Rows count from 1 among the data rows, comments left out."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(GridError, match=re.escape(
+                f"{path} data row {row} holds a non-finite number: {msg}")):
+            PeriodicField.from_csv(make_cell_grid(1.0, 16), path)
+
     def test_from_csv_accepts_equal_values_at_one_x(self, tmp_path):
         """Writing both ends, x = 0 and x = L, with one value is allowed
         and resamples as the file without the x = L row."""

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import perifront.sim as sim
-from perifront.dispersion import Dispersion, bisect, bracketed_root
+from perifront.certify import bisect
+from perifront.dispersion import Dispersion, bracketed_root
 from perifront.grid import (BandedMatrix, PeriodicField, first_derivative,
                             make_cell_grid)
 from golden_cases import models_at_64
