@@ -194,8 +194,7 @@ def build_sub_supercritical(model, disp, c: float, delta1: float,
     s <= s0, with the recipe for s*, s0, n0 driving all constants."""
     if not (0.0 < delta2 <= delta1):
         raise CertificationError("need 0 < delta2 <= delta1")
-    c0, lam0 = disp.critical_speed()
-    if c <= c0 + 1e-12:
+    if disp.tau(c):
         raise CertificationError("supercritical construction needs c > c_+0")
     lam_c = disp.lambda_c(c)
 

@@ -65,9 +65,10 @@ DEFAULTS = {
 
 # The ranges of the library's own argument checks, on the bounds those
 # checks read: key -> (test, what the key takes).  _check_types applies
-# them, so a value out of range exits 2 before any work.  A dt above the
-# explicit-reaction bound depends on the model: StepperConfig alone
-# rejects it, with exit 3.
+# them, so a value out of range exits 2 before any work.  A level outside
+# (0, 1) is never crossed by a front between the states 0 and 1.  A dt
+# above the explicit-reaction bound depends on the model: StepperConfig
+# alone rejects it, with exit 3.
 RANGES = {
     "L": (lambda v: v > 0.0, "positive"),
     "n": (lambda v: v >= MIN_CELL_NODES, f"at least {MIN_CELL_NODES}"),
@@ -78,6 +79,8 @@ RANGES = {
     "T": (lambda v: v >= 0.0, "nonnegative"),
     "k": (lambda v: v > 0.0, "positive"),
     "eps0": (lambda v: 0.0 < v < EPS0_MAX, f"in (0, {EPS0_MAX})"),
+    "delta": (lambda v: v > 0.0, "positive"),
+    "level": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
 
 # Each subcommand's defaults over DEFAULTS.

@@ -223,10 +223,7 @@ class Dispersion:
             A_j = assemble_tilted_operator(self._component_spec(j, lam))
             S = A_j.shifted_from(kappa1)
             rhs = np.zeros(cell.n)
-            for k in range(j):
-                a_jk = model.coupling(j, k)
-                if a_jk is not None:
-                    rhs += a_jk * comps[k]
+            model.add_couplings(j, rhs, comps)
             phi_j = solve_cyclic_banded(S, rhs)
             if phi_j.min() <= 0.0:
                 raise SpectralGapError(
@@ -259,10 +256,7 @@ class Dispersion:
             spec = self._component_spec(j, lam)
             rhs = (tilted_operator_derivative(spec).matvec(phi_j)
                    - kprime * phi_j)
-            for k in range(j):
-                a_jk = model.coupling(j, k)
-                if a_jk is not None:
-                    rhs += a_jk * ders[k]
+            model.add_couplings(j, rhs, ders)
             S = assemble_tilted_operator(spec).shifted_from(phi.kappa)
             if j:
                 ders.append(solve_cyclic_banded(S, rhs))

@@ -15,7 +15,7 @@ histogram holds the bits of an (n, ns) one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,8 +120,7 @@ class FrontProfile:
             for k, w in enumerate(kernel):
                 out += w * padded[:, :, k:k + U.shape[2]]
             U = out
-        return FrontProfile(self.c, self.cell, self.s, U, self.occupancy,
-                            self.monotonicity_defect, self.s_solid)
+        return replace(self, U=U)
 
     def anchored(self) -> "FrontProfile":
         """This profile translated in s so that U_1(x_ANCHOR_NODE, 0) = 1/2
@@ -133,9 +132,8 @@ class FrontProfile:
         j = int(np.nonzero(~above[:-1] & above[1:])[0][0])
         frac = (0.5 - row[j]) / (row[j + 1] - row[j])
         s_half = float(self.s[j] + frac * self.cell.h)
-        return FrontProfile(self.c, self.cell, self.s - s_half, self.U,
-                            self.occupancy, self.monotonicity_defect,
-                            tuple(v - s_half for v in self.s_solid))
+        return replace(self, s=self.s - s_half,
+                       s_solid=tuple(v - s_half for v in self.s_solid))
 
     @property
     def h_s(self) -> float:
@@ -297,7 +295,7 @@ def extract_profile(traj, c: float, t_window=None, anchor: bool = True,
         occ[r, ~ok] = 0.0
 
     incr = np.diff(U, axis=2)
-    defect = float(max(0.0, -np.nanmin(incr)))
+    defect = float(max(0.0, -np.min(incr)))
     prof = FrontProfile(c, cell, s_axis, U, occ, defect,
                         (float(s_axis[start]), float(s_axis[stop - 1])))
     return prof.anchored() if anchor else prof
@@ -325,12 +323,12 @@ def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
     U = profile.U
     s = profile.s
     phi_arr = phi.as_array()
-    top = np.nanmax(U[0], axis=0)
-    mask = ((top <= tail_level) & (np.nanmin(U[0], axis=0) >= DECAY_FLOOR)
+    top = np.max(U[0], axis=0)
+    mask = ((top <= tail_level) & (np.min(U[0], axis=0) >= DECAY_FLOOR)
             & (s < 0))
     if mask.sum() < 8:
         raise FrontError("tail window too short for a decay fit")
-    span = np.nanmax(U[0][:, mask]) / np.nanmin(U[0][:, mask])
+    span = np.max(U[0][:, mask]) / np.min(U[0][:, mask])
     decades = math.log10(span)
     if decades < MIN_DECADES:
         raise FrontError(
@@ -342,8 +340,8 @@ def fit_decay(profile: FrontProfile, phi, lam: float, tau_mode: int,
     for i in range(U.shape[0]):
         block = U[i][:, mask]
         r = block / (weight[None, :] * phi_arr[i][:, None])
-        rho = float(np.nanmedian(r))
-        goodness = float(np.nanmax(np.abs(r / rho - 1.0)))
+        rho = float(np.median(r))
+        goodness = float(np.max(np.abs(r / rho - 1.0)))
         # free-slope exponential fit, pooled over cell nodes
         y = np.log(block / phi_arr[i][:, None])
         if tau_mode == 1:
@@ -365,17 +363,16 @@ class ShiftResult:
     z_pred: float | None = None
 
 
-def _check_same_lattice(h_a: float, h_b: float) -> None:
+def _check_same_grid(a: str, h_a: float, cell_a, m_a: int,
+                     b: str, h_b: float, cell_b, m_b: int) -> None:
+    """Raise FrontError unless sides a and b share one s-spacing h and sit
+    on one cell (L, n) with one number of components m; rows and
+    components are compared index by index, so a mismatch would otherwise
+    broadcast or misalign silently."""
     if abs(h_a - h_b) > 1e-9 * h_b:
         raise FrontError(
             f"s-spacings differ ({h_a:.17g} vs {h_b:.17g}): shifts need "
             "both sides on one lattice")
-
-
-def _check_same_cell(a: str, cell_a, m_a: int, b: str, cell_b, m_b: int):
-    """Raise FrontError unless sides a and b sit on one cell (L, n) with one
-    number of components m; rows and components are compared index by
-    index, so a mismatch would otherwise broadcast or misalign silently."""
     if cell_a.n != cell_b.n or abs(cell_a.L - cell_b.L) > 1e-9 * cell_b.L:
         raise FrontError(
             f"cells differ ({a}: L={cell_a.L:.17g}, n={cell_a.n}; {b}: "
@@ -437,7 +434,7 @@ def _sup_dist_columns(U: FrontProfile, V: FrontProfile, z: float,
     if frac > 0.0:
         diff += U.U[:, :, k + 1:k + cnt + 1:every] * frac
     diff -= V.U[:, :, ja:ja + cnt:every]
-    return float(np.nanmax(np.abs(diff, out=diff)))
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def _grid_argmin(U: FrontProfile, V: FrontProfile, zs: np.ndarray) -> int:
@@ -473,8 +470,7 @@ def shift_distance(U: FrontProfile, V: FrontProfile, lam_c: float | None = None,
     sit on different lattices, cells or component counts."""
     if abs(U.c - V.c) > 1e-9:
         raise FrontError("profiles extracted at different speeds")
-    _check_same_lattice(U.h_s, V.h_s)
-    _check_same_cell("U", U.cell, U.m, "V", V.cell, V.m)
+    _check_same_grid("U", U.h_s, U.cell, U.m, "V", V.h_s, V.cell, V.m)
     zs = np.arange(-bracket, bracket + 1e-9, 4.0 * U.h_s)
     zbest = zs[_grid_argmin(U, V, zs)]
     z0, dist = golden_section_min(
@@ -523,9 +519,9 @@ def convergence_metric(traj, profile: FrontProfile,
     c = profile.c
     h = profile.h_s
     ns = len(profile.s)
-    _check_same_lattice(h, window.h)
-    _check_same_cell("profile", profile.cell, profile.m, "window",
-                     window.cell, traj.m if traj.snapshots else profile.m)
+    _check_same_grid("profile", h, profile.cell, profile.m, "window",
+                     window.h, window.cell,
+                     traj.m if traj.snapshots else profile.m)
     # window and profile share the h-lattice: node j = q n + r of the
     # scanned range sits at bin position A - j of row r, with A = (c t +
     # shift - x_0 - s_0)/h, so one weight per (snapshot, shift) serves
@@ -593,7 +589,7 @@ def log_derivative_diagnostics(profile: FrontProfile):
     h = profile.h_s
     out = []
     for i in range(profile.m):
-        mask = np.nanmax(U[i], axis=0) <= LOG_DERIVATIVE_LEVEL
+        mask = np.max(U[i], axis=0) <= LOG_DERIVATIVE_LEVEL
         cols = np.nonzero(mask)[0]
         cols = cols[(cols > 0) & (cols < len(s) - 1)]
         cols = cols[~(U[i][:, cols] <= 0.0).any(axis=0)]
@@ -601,7 +597,7 @@ def log_derivative_diagnostics(profile: FrontProfile):
             raise FrontError("left tail not resolved below the level")
         num = U[i][:, cols + 1] - U[i][:, cols - 1]
         logder = num / (2.0 * h * U[i][:, cols])
-        out.append((float(np.nanmin(logder)), float(np.nanmax(logder))))
+        out.append((float(np.min(logder)), float(np.max(logder))))
     return out
 
 
@@ -610,7 +606,7 @@ def component_ratio_bound(profile: FrontProfile) -> float:
     if profile.m < 2:
         raise FrontError("needs at least two components")
     U = profile.U
-    denom = np.nanmin(U[1:], axis=0)
-    if np.nanmin(denom) <= 0.0:
+    denom = np.min(U[1:], axis=0)
+    if np.min(denom) <= 0.0:
         raise FrontError("a component vanishes on the represented range")
-    return float(np.nanmax(U[0] / denom))
+    return float(np.max(U[0] / denom))

@@ -185,15 +185,20 @@ class ReactionModel:
         """zeta_i(x) = h_i(x, 0), the linearized growth rate at zero."""
         return self.h[i].c
 
+    def add_couplings(self, i: int, out: np.ndarray, v,
+                      xidx=slice(None)) -> None:
+        """out += sum_{j<i} a_ij[xidx] v[j], in place, in ascending j."""
+        for j in range(i):
+            a = self.coupling(i, j)
+            if a is not None:
+                out += a[xidx] * v[j]
+
     def F(self, u: np.ndarray, xidx: np.ndarray) -> np.ndarray:
         """Reaction term; u: (m, npts) -> (m, npts)."""
         out = np.empty_like(u)
         for i in range(self.m):
             np.multiply(u[i], self.h[i](u, xidx), out=out[i])
-            for j in range(i):
-                a = self.coupling(i, j)
-                if a is not None:
-                    out[i] += a[xidx] * u[j]
+            self.add_couplings(i, out[i], u, xidx)
         return out
 
     def jacobian(self, u: np.ndarray, xidx: np.ndarray) -> np.ndarray:
@@ -223,18 +228,20 @@ class ReactionModel:
         constant), ascending."""
         return sorted({i} | self.h[i].reads)
 
-    def reaction_lipschitz(self) -> float:
-        """max |dF_i/du_i| over the box lattice; bounds the explicit step.
-
-        dF_i/du_i = h_i + u_i dh_i/du_i, so row i samples the lattice over
-        row_reads(i) alone."""
+    def box_rows(self):
+        """For each i, (i, u, xidx, row): row i of the Jacobian on the
+        BOX_SAMPLES-point [0, 1] lattice over row_reads(i) alone."""
         pts = np.linspace(0.0, 1.0, BOX_SAMPLES)
-        best = 0.0
-        for i, hi in enumerate(self.h):
+        for i in range(self.m):
             u, xidx = dependency_lattice(self.row_reads(i), pts, self.m,
                                          self.cell.n)
-            dii = u[i] * hi.du(i, u, xidx) + hi(u, xidx)
-            best = max(best, float(np.max(np.abs(dii))))
+            yield i, u, xidx, self.jacobian_row(i, u, xidx)
+
+    def reaction_lipschitz(self) -> float:
+        """max |dF_i/du_i| over the box lattice; bounds the explicit step."""
+        best = 0.0
+        for i, _, _, row in self.box_rows():
+            best = max(best, float(np.max(np.abs(row[i]))))
         return best
 
 
@@ -301,14 +308,9 @@ class HypothesisReport:
 
 def _cooperativity(model: ReactionModel):
     """min over i != k, the nodes and the [0, 1] lattice of J_ik(u), with
-    its witness (i, k, the lattice point u, node); row i samples the
-    lattice over row_reads(i) alone."""
-    pts = np.linspace(0.0, 1.0, BOX_SAMPLES)
-    n = model.cell.n
+    its witness (i, k, the lattice point u, node), over box_rows."""
     worst, wit = np.inf, None
-    for i in range(model.m):
-        u, xidx = dependency_lattice(model.row_reads(i), pts, model.m, n)
-        row = model.jacobian_row(i, u, xidx)
+    for i, u, xidx, row in model.box_rows():
         for k in range(model.m):
             if k == i:
                 continue

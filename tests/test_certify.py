@@ -115,6 +115,15 @@ class TestSubSupercritical:
         with pytest.raises(CertificationError):
             build_sub_supercritical(model, disp, 2.0, 0.1, 0.1)
 
+    def test_critical_band_is_dispersion_tau(self, model, disp):
+        # within 1e-10 of c_+0 Dispersion.tau calls c critical, lambda_c is
+        # lambda_+0 and epsilon_rule gives eps = 0: not supercritical
+        c0, _ = disp.critical_speed()
+        assert disp.tau(c0 + 5e-11) == 1
+        with pytest.raises(CertificationError,
+                           match="needs c > c_\\+0"):
+            build_sub_supercritical(model, disp, c0 + 5e-11, 0.1, 0.1)
+
 
 class TestSubCritical:
     def test_boundary_and_smallness(self, model, disp):

@@ -135,6 +135,25 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_critical_band_certify_exit_3(self, tmp_path, capsys):
+        # constant2's c_+0 is 2 to 1e-13: 2 + 5e-11 is critical by
+        # Dispersion.tau, so the supercritical builder refuses it
+        rc = main(["certify", "--c", "2.00000000005",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: supercritical construction "
+                       "needs c > c_+0"]
+
+    @pytest.mark.parametrize("command", ["certify", "dispersion"])
+    def test_delta_out_of_range_exit_2(self, tmp_path, capsys, command):
+        # every subcommand checks every key, the ones it does not read too
+        rc = main([command, "--delta", "0", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: delta must be positive, "
+                       "got 0.0"]
+
     def test_failed_rerun_removes_earlier_outputs(self, tmp_path):
         out = tmp_path / "cert"
         assert main(["certify", "--out", str(out)]) == 0
@@ -291,6 +310,9 @@ class TestErrors:
         ("--T=-1", "T must be nonnegative, got -1.0"),
         ("--dt=0", "dt must be positive, got 0.0"),
         ("--snapshot-dt=0", "snapshot_dt must be positive, got 0.0"),
+        ("--delta=0", "delta must be positive, got 0.0"),
+        ("--level=1.5", "level must be in (0, 1), got 1.5"),
+        ("--level=0", "level must be in (0, 1), got 0.0"),
     ])
     def test_out_of_range_exit_2(self, tmp_path, capsys, flag, words):
         # the library's own range checks, named by key before any work;

@@ -152,6 +152,30 @@ class TestCascade:
         assert all(c.min() > 0 for c in casc.components)
         assert max(casc.residuals) <= 1e-8
 
+    def test_coupling_sums_keep_the_hand_loop_order(self, monkeypatch):
+        """Row 3 of chain-m (m = 3) with an added a_31 has two couplings;
+        the cascade and its derivative equal, bit for bit, a reference
+        whose coupling sums are the hand loop rhs += a_jk v_k over
+        ascending k."""
+        model = make_model("chain-m", m=3)
+        x = model.cell.x
+        model.couplings[(1, 0)] = 1.2 + 0.3 * np.cos(2 * np.pi * x)
+        model.couplings[(2, 0)] = 0.4 + 0.1 * np.sin(4 * np.pi * x)
+        disp = Dispersion(model)
+        phi = disp.cascade(0.8).as_array()
+        der = disp.cascade_derivative(0.8).as_array()
+
+        def hand_loop(j, rhs, comps):
+            for k in range(j):
+                a_jk = model.coupling(j, k)
+                if a_jk is not None:
+                    rhs += a_jk * comps[k]
+
+        monkeypatch.setattr(model, "add_couplings", hand_loop)
+        ref = Dispersion(model)
+        assert np.array_equal(ref.cascade(0.8).as_array(), phi)
+        assert np.array_equal(ref.cascade_derivative(0.8).as_array(), der)
+
     def test_recompute_runs_no_eigensolve(self, monkeypatch):
         """critical_speed and cascade recompute from the memoized Perron
         pairs: a second call runs no inverse-power loop and returns the
