@@ -53,13 +53,13 @@ SEED_SIGMA_FACTORS = (1.0, 2.0, 4.0, 8.0)  # and its sigma * beta grid
 SEED_MARGIN_CELLS = 4  # window edge cells left out of the seed bracket
 T_REGION = (0.5, 3.0)  # residual lattice times, and the sandwich's shift range
 VARRHO_SAMPLES = 3     # box lattice points per component in compute_varrho
+DU_SAMPLES = 2         # and in _gamma0, the corners (dh/du is affine in u)
 
 
 @dataclass(frozen=True)
 class BoundaryCheck:
     name: str
     margin: float               # >= 0 means satisfied
-    witness: object = None
 
 
 @dataclass
@@ -115,8 +115,17 @@ def _phi_bounds(phi):
 
 
 def _gamma0(model, box: float) -> float:
-    """max |dh_i/du_j| over all components and the symmetric box."""
-    return max(h.max_abs_du(-box, box) for h in model.h)
+    """max |dh_i/du_k| over the nodes, all i and k, and the corners of
+    [-box, box] over row_reads(i) alone, the others held at 0: dh_i/du_k
+    is affine in u and reads no other component."""
+    pts = np.linspace(-box, box, DU_SAMPLES)
+    best = 0.0
+    for i, h in enumerate(model.h):
+        u, xidx = dependency_lattice(model.row_reads(i), pts, model.m,
+                                     model.cell.n)
+        for k in range(model.m):
+            best = max(best, float(np.max(np.abs(h.du(k, u, xidx)))))
+    return best
 
 
 def _nodes(x, cell) -> tuple:
@@ -653,7 +662,8 @@ def _lattice_margins(model, cand: CandidateSolution) -> tuple:
     """Per-component worst normalized residual margin of cand over the
     (t, x) lattice sweeping its s-region (>= 0 means the inequality of its
     sense holds), with the (component, t, x, residual) witness of the
-    worst."""
+    worst over all components: the first lattice point, in t and then
+    component and x order, of the lowest margin."""
     cell = model.cell
     h = cell.h
     reg_lo, reg_hi = cand.s_region
@@ -661,7 +671,7 @@ def _lattice_margins(model, cand: CandidateSolution) -> tuple:
     # a subsolution's margin is -N, a supersolution's N
     flip = -1.0 if cand.sense == "sub" else 1.0
     worst = np.full(model.m, np.inf)
-    wit = None
+    best, wit = np.inf, None
     for t in np.linspace(max(T_REGION[0], 2 * DT_FD), T_REGION[1],
                          T_SAMPLES):
         # x so that s = c t - x sweeps the region, padded one node
@@ -689,12 +699,12 @@ def _lattice_margins(model, cand: CandidateSolution) -> tuple:
         Nhat = N / cand.scale(c * t - x[inner])[None, :]
         signed = flip * Nhat
         marg = signed.min(axis=1)
-        for i in range(model.m):
-            if marg[i] < worst[i]:
-                worst[i] = marg[i]
-                jbad = int(np.argmin(signed[i]))
-                wit = (i + 1, float(t), float(x[inner][jbad]),
-                       float(Nhat[i, jbad]))
+        worst = np.where(marg < worst, marg, worst)
+        i, jbad = np.unravel_index(np.argmin(signed), signed.shape)
+        if signed[i, jbad] < best:
+            best = signed[i, jbad]
+            wit = (int(i) + 1, float(t), float(x[inner][jbad]),
+                   float(Nhat[i, jbad]))
     return worst, wit
 
 
@@ -705,7 +715,8 @@ def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
     The residual is normalized by the candidate's amplitude scale; the
     pass/fail allowance is C_ALLOW*(h**2 + DT_FD**2) plus, for
     profile-backed candidates, the measured residual of the bare profile
-    over the same lattice.
+    over the same lattice.  The witness is the lattice's worst point, or
+    the names of the failing boundary checks when only those fail.
     """
     s_lo, s_hi = cand.s_region
     if s_hi <= s_lo:
@@ -718,13 +729,13 @@ def residual_sign_check(model, cand: CandidateSolution) -> CertReport:
         profile_defect = float(np.max(np.abs(bare_m)))
 
     allowance = C_ALLOW * (model.cell.h**2 + DT_FD**2) + profile_defect
-    b_ok = all(b.margin >= -allowance for b in cand.constraints)
-    verdict = bool(margins.min() >= -allowance and b_ok)
-    if not b_ok and witness is None:
-        witness = [b.name for b in cand.constraints if b.margin < -allowance]
+    lattice_ok = bool(margins.min() >= -allowance)
+    failed = [b.name for b in cand.constraints if b.margin < -allowance]
+    if lattice_ok and failed:
+        witness = failed
     return CertReport(kind=cand.kind, params=cand.params, margins=margins,
                       boundary=list(cand.constraints), allowance=allowance,
-                      verdict=verdict, witness=witness,
+                      verdict=lattice_ok and not failed, witness=witness,
                       profile_defect=profile_defect)
 
 

@@ -120,15 +120,10 @@ def _assemble_coupled(cell: CellGrid, ds, qs, J) -> sp.csr_matrix:
     coefficient J[i, i, :]; off-diagonal blocks are diag(J[i, j, :]).
     """
     m = len(ds)
-    n = cell.n
     blocks = [[None] * m for _ in range(m)]
     for i in range(m):
-        B = assemble_tilted_operator(OperatorSpec.of(cell, ds[i], qs[i],
-                                                      J[i, i]))
-        blocks[i][i] = sp.diags(
-            [B.sub[1:], B.main, B.sup[:-1]], [-1, 0, 1], format="lil")
-        blocks[i][i][0, n - 1] += B.sub[0]
-        blocks[i][i][n - 1, 0] += B.sup[n - 1]
+        blocks[i][i] = assemble_tilted_operator(OperatorSpec.of(
+            cell, ds[i], qs[i], J[i, i])).to_sparse()
         for j in range(m):
             if j != i and np.any(J[i, j] != 0.0):
                 blocks[i][j] = sp.diags(J[i, j])

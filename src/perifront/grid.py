@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .errors import (FieldSpecError, GridError, MetzlerError,
@@ -219,14 +220,15 @@ class BandedMatrix:
         nxt, prv = _wrap(self.n)
         return self.main * v + self.sup * v[nxt] + self.sub * v[prv]
 
-    def to_dense(self) -> np.ndarray:
+    def to_sparse(self) -> sp.dia_matrix:
+        """The matrix on offsets -(n-1), -1, 0, 1, n-1, the outer two
+        holding the corners sup[n-1] and sub[0]."""
         n = self.n
-        A = np.diag(self.main)
-        A[np.arange(n - 1), np.arange(1, n)] = self.sup[:-1]
-        A[np.arange(1, n), np.arange(n - 1)] = self.sub[1:]
-        A[0, n - 1] += self.sub[0]
-        A[n - 1, 0] += self.sup[n - 1]
-        return A
+        return sp.diags([self.sup[n - 1:], self.sub[1:], self.main,
+                         self.sup[:-1], self.sub[:1]], [1 - n, -1, 0, 1, n - 1])
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_sparse().toarray()
 
     def transposed(self) -> "BandedMatrix":
         """Return A^T: row j holds sup[j-1] and sub[j+1], gathered."""

@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-DU_SAMPLES = 3     # lattice points per component for |dh/du| (affine in u)
-BOX_SAMPLES = 5    # and on [0, 1] for reaction_lipschitz and H3
+BOX_SAMPLES = 5    # lattice points per component on [0, 1] for
+                   # reaction_lipschitz and H3
 STEADY_RATE_TOL = 1e-10   # steady-state iteration stops at max |u_t| <= this
 
 
@@ -126,25 +126,6 @@ class PolyH:
             Qs = self.Q[k, :, :][:, xidx] + self.Q[:, k, :][:, xidx]
             out += np.einsum("lp,lp->p", Qs, u)
         return out
-
-    def max_abs_du(self, box_lo: float, box_hi: float) -> float:
-        """max over all nodes, all k, and a u-lattice of |dh/du_k|.
-
-        The derivative is affine in u, so lattice corners realize the max;
-        interior samples are kept for symmetry with the generic checks.
-        dh/du_k = b[k] + sum_l (Q[k, l] + Q[l, k]) u_l reads only the
-        components l of a nonzero Q pair with k, so the lattice for k spans
-        those alone.
-        """
-        m, n = self.b.shape
-        pts = np.linspace(box_lo, box_hi, DU_SAMPLES)
-        best = 0.0
-        for k in range(m):
-            deps = sorted({l for j, l in self._pairs if j == k}
-                          | {j for j, l in self._pairs if l == k})
-            u, xidx = dependency_lattice(deps, pts, m, n)
-            best = max(best, float(np.max(np.abs(self.du(k, u, xidx)))))
-        return best
 
 
 @dataclass

@@ -56,6 +56,7 @@ __all__ = [
 
 TOL_BOX = 1e-8         # roundoff allowed outside the box [0, 1]
 GUARD_CELLS = 10       # width of the downwind guard band
+GUARD_LEVEL = 0.5      # and the level u_1 may not pass inside it
 MIN_WINDOW_CELLS = 20  # the narrowest window WindowGrid accepts
 EPS0_MAX = 0.5         # build_initial_front_like takes eps0 in (0, EPS0_MAX)
 CSV_BLOCK_ROWS = 2048
@@ -185,7 +186,6 @@ class StepperConfig:
     snapshot_dt: float = 0.5
     left_value: float = 1.0
     right_value: float = 0.0
-    guard_level: float = 0.5     # front-position guard level
 
     def validate_against(self, model) -> None:
         if not self.snapshot_dt > 0.0:
@@ -312,10 +312,10 @@ class Stepper:
         return SimState(state.t + cfg.dt, new)
 
     def guard_triggered(self, state: SimState) -> bool:
-        if self.cfg.right_value >= self.cfg.guard_level:
+        if self.cfg.right_value >= GUARD_LEVEL:
             return False           # not a front-tracking run
         gb = self.window.npts - GUARD_CELLS * self.model.cell.n
-        return bool(state.u[0, gb:].max() > self.cfg.guard_level)
+        return bool(state.u[0, gb:].max() > GUARD_LEVEL)
 
 
 def build_initial_front_like(model, window: WindowGrid, c: float,
@@ -400,10 +400,10 @@ def _window_fitting(stepper, start: SimState, state: SimState,
     half as much room again for the travel (a pulled front still speeds
     up after its initial transient, so its mean speed so far is low),
     plus the guard band."""
-    window, level = stepper.window, stepper.cfg.guard_level
+    window = stepper.window
 
     def lead(u):
-        above = np.nonzero(u[0] > level)[0]
+        above = np.nonzero(u[0] > GUARD_LEVEL)[0]
         return window.x[above[-1]] if len(above) else window.x_lo
 
     x0, x1 = lead(start.u), lead(state.u)

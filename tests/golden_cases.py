@@ -578,8 +578,7 @@ def candidate_parts(model, cand):
     ones too) and its residual report."""
     out = [cand.kind, cand.sense, json_native(cand.params),
            json_native(cand.s_region),
-           [[b.name, b.margin, json_native(b.witness)]
-            for b in cand.constraints]]
+           [[b.name, b.margin] for b in cand.constraints]]
     evaluators = [cand.evaluator]
     if cand.bare is not None:
         out += [json_native(cand.bare.s_region), cand.bare.sense]

@@ -179,6 +179,40 @@ class TestEquilibriumResidual:
         assert np.max(np.abs(rep2.margins)) <= 1e-10
 
 
+class TestWitness:
+    def test_witness_is_the_worst_point(self, model):
+        """u = 0 and a given du/dt: the normalized residual of component 1
+        is 50 e^{-5t}, worst at the first lattice time, and component 2's
+        0.5 t lowers its own minimum at every later time.  The witness is
+        component 1's point, not the last point that lowered a minimum."""
+        amp = lambda s: 1e-3 * np.exp(np.minimum(s, 0.0))
+
+        def dudt(t, x):
+            g = amp(t - x)
+            return np.stack([g * 50.0 * np.exp(-5.0 * t), g * 0.5 * t])
+
+        cand = perifront.CandidateSolution(
+            kind="given_dudt", sense="sub", params=dict(c=1.0),
+            s_region=(-10.0, -1.0),
+            evaluator=lambda t, x: np.zeros((2, len(x))), scale=amp,
+            dudt_evaluator=dudt)
+        rep = residual_sign_check(model, cand)
+        assert rep.margins == pytest.approx([-50.0 * np.exp(-2.5), -1.5])
+        comp, t, _, resid = rep.witness
+        assert (comp, t) == (1, 0.5)
+        assert -resid == rep.margins.min()
+
+    def test_boundary_failure_names_only_its_checks(self, model, disp):
+        cand = build_sub_supercritical(model, disp, 2.5, 0.1, 0.1)
+        cand.constraints[0] = dataclasses.replace(cand.constraints[0],
+                                                  margin=-1.0)
+        rep = residual_sign_check(model, cand)
+        assert rep.margins.min() >= -rep.allowance
+        assert not rep.verdict
+        assert rep.witness == [cand.constraints[0].name]
+        assert rep.as_dict()["witness"] == [cand.constraints[0].name]
+
+
 class TestOrderingCrossCheck:
     def test_subsolution_stays_below(self, model, disp):
         # seed the simulation at max(subsolution, 0); the comparison

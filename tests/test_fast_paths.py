@@ -24,6 +24,7 @@ the ids it had.  The budget, iteration, memory and no-roll tests pin the
 costs.
 """
 
+import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -277,10 +278,22 @@ def test_sparse_linear_skips_zero_rows():
     assert PolyH(c=np.zeros(8), b=np.zeros((4, 8)))._rows == ()
 
 
-@pytest.mark.parametrize("h", rates(builtin_models(make_cell_grid(1.0, 16))))
-def test_max_abs_du_matches_full_lattice(h):
-    for box in (1.0, 4.0 / 3.0, 2.5):
-        assert h.max_abs_du(-box, box) == ref_max_abs_du(h, -box, box)
+@pytest.mark.parametrize("model, i", [
+    pytest.param(model, i, id=f"{model.name}-m{model.m}-h{i + 1}")
+    for model in builtin_models(make_cell_grid(1.0, 16))
+    for i in range(model.m)])
+def test_max_abs_du_matches_full_lattice(model, i):
+    """_gamma0 of the model with every rate but h_i set to zero is h_i's
+    full-lattice max |dh_i/du_k|; with all rates, the max of theirs."""
+    m, n = model.m, model.cell.n
+    zero = PolyH(np.zeros(n), np.zeros((m, n)))
+    alone = dataclasses.replace(
+        model, h=[h if j == i else zero for j, h in enumerate(model.h)])
+    for box in (0.5, 1.0, 4.0 / 3.0, 2.5):
+        assert _gamma0(alone, box) == ref_max_abs_du(model.h[i], -box, box)
+        if i == 0:
+            assert _gamma0(model, box) == max(
+                ref_max_abs_du(h, -box, box) for h in model.h)
 
 
 def test_gamma0_chain_m8_within_budget():

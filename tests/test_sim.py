@@ -63,7 +63,7 @@ class TestStep:
         model = heat_model(cell)
         win = WindowGrid(cell, 40)
         cfg = StepperConfig(dt=0.0005, left_value=0.0, right_value=0.0,
-                            snapshot_dt=0.5, guard_level=2.0)
+                            snapshot_dt=0.5)
         x = win.x
         x0, s0 = 20.0, 0.5
         u0 = np.exp(-(x - x0) ** 2 / (2 * s0**2))
