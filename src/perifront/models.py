@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-BOX_SAMPLES = 5    # lattice points per component on [0, 1] for
-                   # reaction_lipschitz and H3
+BOX_SAMPLES = 5    # lattice points per component on box_rows' [0, 1]
 STEADY_RATE_TOL = 1e-10   # steady-state iteration stops at max |u_t| <= this
 
 
